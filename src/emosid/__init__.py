@@ -9,10 +9,10 @@ from .audio import AudioClip, FrameSet, load_wav, resample, pre_emphasize, \
     frame_and_window, mix_interference
 from .features import FeatureMatrix, MelFilterbank, hz_to_mel, mel_to_hz, \
     power_spectrum, build_filterbank, mfcc
-from .gmm import GmmTag, TagStore, em_fit, score_utterance, gmm_identify
+from .gmm import GmmTag, TagStore, em_fit, score_utterance, frame_scores, gmm_identify
 from .dnn import DnnModel, TrainConfig, relu, forward, train
-from .cascade import SegmentPlan, LikelihoodVector, segment, likelihood_vector, \
-    classify, classify_dnn_only
+from .cascade import SegmentPlan, segment, likelihood_vectors, classify, \
+    classify_dnn_only
 from .evaluation import TrialRecord, sid_performance, students_t, \
     confusion_matrix, compare_two
 from .corpus import Manifest, SynthSpec, load_manifest, generate_synthetic, \

@@ -2,15 +2,17 @@
 
 Utterances are cut into overlapping segments of T frames; each segment is
 scored against every (speaker, emotion) tag to form a likelihood vector,
-which the DNN maps to a speaker posterior. Segment posteriors are averaged
-into the utterance decision. The DNN-alone ablation replaces the
-likelihood vector with pooled MFCC statistics (mean and std per
-coefficient over the segment).
+which the DNN maps to a speaker posterior. Each frame is scored against a
+tag once, and a segment's vector is the mean of its frames' scores, so
+overlapping segments share work. Segment posteriors are averaged into the
+utterance decision. The DNN-alone ablation replaces the likelihood vector
+with pooled MFCC statistics (mean and std per coefficient over the
+segment).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +42,6 @@ class SegmentPlan:
         return max(1, round(self.frames_per_segment * (1.0 - self.overlap_fraction)))
 
 
-@dataclass(frozen=True)
-class LikelihoodVector:
-    """Average log-likelihood of one segment against every tag, roster order."""
-
-    values: np.ndarray
-    segment_meta: dict = field(default_factory=dict)
-
-
 def segment(features: FeatureMatrix, plan: SegmentPlan):
     """Split an utterance into frame spans [(start, stop), ...].
 
@@ -73,20 +67,18 @@ def segment(features: FeatureMatrix, plan: SegmentPlan):
     return spans
 
 
-def segment_views(features: FeatureMatrix, plan: SegmentPlan):
-    """Segments as FeatureMatrix views sharing the parent's storage."""
-    return [FeatureMatrix(data=features.data[a:b], meta=features.meta)
-            for a, b in segment(features, plan)]
+def likelihood_vectors(store: TagStore, features, spans) -> np.ndarray:
+    """Mean log-likelihood of each frame span against every tag: (S, K).
 
-
-def likelihood_vector(store: TagStore, seg: FeatureMatrix,
-                      segment_meta: dict | None = None) -> LikelihoodVector:
-    """Score one segment against all tags in roster order."""
-    if seg.num_coeffs != store.dim:
-        raise DimensionError(f"feature dim {seg.num_coeffs} != store dim {store.dim}")
-    values = np.array([gmm_mod.score_utterance(tag, seg)
-                       for tag in store.ordered_tags()])
-    return LikelihoodVector(values=values, segment_meta=segment_meta or {})
+    Row s is span s, columns are tags in roster order; each entry equals
+    ``gmm.score_utterance(tag, features[a:b])`` bit for bit.
+    """
+    scores = gmm_mod.frame_scores(store, features)
+    num_frames = scores.shape[1]
+    for a, b in spans:
+        if not 0 <= a < b <= num_frames:
+            raise DimensionError(f"span ({a}, {b}) is empty or past {num_frames} frames")
+    return np.stack([scores[:, a:b].mean(axis=1) for a, b in spans])
 
 
 def pooled_mfcc_stats(seg: FeatureMatrix) -> np.ndarray:
@@ -136,10 +128,7 @@ def classify(store: TagStore, model: dnn_mod.DnnModel, features: FeatureMatrix,
             f"DNN output size {model.output_size} != speaker count "
             f"{len(store.speaker_roster)}")
     spans = segment(features, plan)
-    vectors = np.stack([
-        likelihood_vector(store, FeatureMatrix(features.data[a:b], features.meta)).values
-        for a, b in spans])
-    posteriors, _ = dnn_mod.forward(model, vectors)
+    posteriors, _ = dnn_mod.forward(model, likelihood_vectors(store, features, spans))
     return _decide(np.atleast_2d(posteriors), spans, store.speaker_roster, aggregation)
 
 

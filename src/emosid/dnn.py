@@ -113,10 +113,6 @@ def forward(model: DnnModel, x: np.ndarray):
     return posterior, {"activations": activations, "pre_activations": pre_activations}
 
 
-def predict(model: DnnModel, x: np.ndarray) -> np.ndarray:
-    return forward(model, x)[0]
-
-
 def cross_entropy(posterior: np.ndarray, labels: np.ndarray) -> float:
     p = np.atleast_2d(posterior)
     labels = np.atleast_1d(labels)

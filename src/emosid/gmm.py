@@ -3,6 +3,10 @@
 One mixture ("tag") is trained per (speaker, emotion) pair. Everything is
 evaluated in the log domain; mixture likelihoods use log-sum-exp so that
 far-out frames never underflow to -inf.
+
+``frame_scores`` scores an utterance against every tag of a ``TagStore`` at
+once; ``score_utterance`` scores it against one tag and is the reference the
+stacked kernel is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionError, EmptyUtteranceError, InsufficientDataError
 from .features import FeatureMatrix
@@ -42,15 +45,81 @@ class GmmTag:
         return self.means.shape[1]
 
 
+def _pairwise_sum(parts):
+    """Sum of equal-shape arrays, added in the order in which numpy's pairwise
+    summation adds the elements of one n-element row: one by one below 8,
+    eight running sums combined as a tree up to 128, halves above that."""
+    n = len(parts)
+    if n < 8:
+        total = parts[0].copy()
+        for p in parts[1:]:
+            total += p
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(parts[:half]) + _pairwise_sum(parts[half:])
+    acc = [p.copy() for p in parts[:8]]
+    for i in range(8, n - n % 8, 8):
+        for j in range(8):
+            acc[j] += parts[i + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for p in parts[n - n % 8:]:
+        total += p
+    return total
+
+
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along one axis.
+
+    Repeats the float operations of scipy.special.logsumexp (scipy 1.17) in
+    its order, so results agree with it bit for bit, without its per-call
+    overhead: the maximum is taken out, the entries equal to it are left out
+    of the shifted sum and their count is added back as log(count). The
+    reduction runs as elementwise operations over slices along the axis,
+    which is much faster than numpy's reductions over a short axis.
+    """
+    parts = list(np.moveaxis(a, axis, 0))
+    amax = parts[0].copy()
+    for p in parts[1:]:
+        np.maximum(amax, p, out=amax)
+    count = np.zeros_like(amax)
+    shifted = []
+    with np.errstate(invalid="ignore"):
+        for p in parts:
+            tie = p == amax
+            count += tie
+            e = np.subtract(p, amax)
+            np.exp(e, out=e)
+            e *= ~tie
+            shifted.append(e)
+        s = _pairwise_sum(shifted)
+        s /= count
+        out = np.log1p(s)
+        out += np.log(count)
+        out += amax
+    finite = np.isfinite(amax)
+    if not finite.all():
+        # rows whose maximum is +-inf or nan; scipy's fallback,
+        # log(sum(exp(row))), equals that maximum there
+        out = np.where(finite, out, amax)
+    return out
+
+
+def _component_terms(tag: GmmTag):
+    """Per-component terms of the log density: 1/var, mean/var,
+    sum(mean^2/var) and the normalizing constant."""
+    inv = 1.0 / tag.variances
+    const = -0.5 * (tag.dim * _LOG_2PI + np.sum(np.log(tag.variances), axis=1))
+    return inv, tag.means * inv, np.sum(tag.means ** 2 * inv, axis=1), const
+
+
 def log_component_densities(tag: GmmTag, x: np.ndarray) -> np.ndarray:
     """Log N(x | mu_i, diag(var_i)) for all components; x is (T, D) or (D,)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != tag.dim:
         raise DimensionError(f"feature dim {x.shape[1]} != model dim {tag.dim}")
-    inv = 1.0 / tag.variances
-    const = -0.5 * (tag.dim * _LOG_2PI + np.sum(np.log(tag.variances), axis=1))
-    quad = (x ** 2) @ inv.T - 2.0 * (x @ (tag.means * inv).T) \
-        + np.sum(tag.means ** 2 * inv, axis=1)
+    inv, mean_inv, mean2_inv, const = _component_terms(tag)
+    quad = (x ** 2) @ inv.T - 2.0 * (x @ mean_inv.T) + mean2_inv
     return const - 0.5 * quad  # (T, M)
 
 
@@ -62,7 +131,7 @@ def log_component_density(tag: GmmTag, i: int, x: np.ndarray) -> float:
 def log_mixture_density(tag: GmmTag, x: np.ndarray) -> np.ndarray:
     """log sum_i w_i b_i(x), via log-sum-exp. Returns (T,) (or scalar for 1-D x)."""
     scalar = np.asarray(x).ndim == 1
-    out = logsumexp(log_component_densities(tag, x) + np.log(tag.weights), axis=1)
+    out = _logsumexp(log_component_densities(tag, x) + np.log(tag.weights))
     return float(out[0]) if scalar else out
 
 
@@ -70,7 +139,7 @@ def responsibilities(tag: GmmTag, x: np.ndarray) -> np.ndarray:
     """Posterior component memberships; rows sum to 1."""
     scalar = np.asarray(x).ndim == 1
     logp = log_component_densities(tag, x) + np.log(tag.weights)
-    logp -= logsumexp(logp, axis=1, keepdims=True)
+    logp -= _logsumexp(logp)[:, None]
     r = np.exp(logp)
     return r[0] if scalar else r
 
@@ -117,7 +186,7 @@ def em_fit(data, num_components: int = DEFAULT_MIXTURES, *, max_iters: int = DEF
 
     for it in range(max_iters):
         logb = log_component_densities(tag, data) + np.log(tag.weights)
-        frame_ll = logsumexp(logb, axis=1)
+        frame_ll = _logsumexp(logb)
         avg_ll = float(np.mean(frame_ll))
         history.append(avg_ll)
         if len(history) > 1 and history[-1] - history[-2] < tol:
@@ -135,7 +204,7 @@ def em_fit(data, num_components: int = DEFAULT_MIXTURES, *, max_iters: int = DEF
                 starvation_events.append({"iteration": it, "component": int(comp)})
             # redo the E-step with the repaired components
             logb = log_component_densities(tag, data) + np.log(tag.weights)
-            frame_ll = logsumexp(logb, axis=1)
+            frame_ll = _logsumexp(logb)
             resp = np.exp(logb - frame_ll[:, None])
             nk = resp.sum(axis=0)
 
@@ -171,13 +240,25 @@ def score_utterance(tag: GmmTag, features) -> float:
 
 @dataclass
 class TagStore:
-    """All trained tags, keyed by (speaker_id, emotion_id), with rosters."""
+    """All trained tags, keyed by (speaker_id, emotion_id), with rosters.
+
+    On construction every tag's components are stacked for
+    ``frame_scores``, component-major: row j*K + k is component j of tag k
+    in roster order. A store's tags are not to be changed afterwards.
+    """
 
     tags: dict  # (speaker_id, emotion_id) -> GmmTag
     speaker_roster: list
     emotion_roster: list
+    _inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K, D) 1/var
+    _mean_inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K, D) mean/var
+    _mean2_inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
+    _const: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
+    _log_w: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
 
     def __post_init__(self):
+        if not self.speaker_roster or not self.emotion_roster:
+            raise DimensionError("empty tag store")
         for spk in self.speaker_roster:
             for emo in self.emotion_roster:
                 if (spk, emo) not in self.tags:
@@ -185,6 +266,14 @@ class TagStore:
         dims = {tag.dim for tag in self.tags.values()}
         if len(dims) > 1:
             raise DimensionError(f"tags disagree on feature dim: {sorted(dims)}")
+        ordered = self.ordered_tags()
+        sizes = {tag.num_components for tag in ordered}
+        if len(sizes) > 1:
+            raise DimensionError(f"tags disagree on component count: {sorted(sizes)}")
+        terms = [(*_component_terms(tag), np.log(tag.weights)) for tag in ordered]
+        stacked = [np.stack(parts, axis=1) for parts in zip(*terms)]  # (M, K, ...)
+        self._inv, self._mean_inv = (t.reshape(-1, self.dim) for t in stacked[:2])
+        self._mean2_inv, self._const, self._log_w = (t.ravel() for t in stacked[2:])
 
     def __len__(self) -> int:
         return len(self.speaker_roster) * len(self.emotion_roster)
@@ -199,22 +288,45 @@ class TagStore:
                 for spk in self.speaker_roster for emo in self.emotion_roster]
 
 
+def frame_scores(store: TagStore, features) -> np.ndarray:
+    """Log-likelihood of every frame under every tag, as a (K, T) matrix.
+
+    Row k is tag k in roster order and is contiguous; it equals
+    ``log_mixture_density(tag_k, data)`` bit for bit. The whole utterance is
+    scored with one pair of matrix products and one log-sum-exp: the float
+    operations are those of ``log_component_densities`` in the same order,
+    done in place. Splitting the frames into blocks would change the BLAS
+    kernel shapes, and with them some last bits.
+    """
+    data = features.data if isinstance(features, FeatureMatrix) else features
+    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if x.shape[0] == 0:
+        raise EmptyUtteranceError("cannot score an utterance with no frames")
+    if x.shape[1] != store.dim:
+        raise DimensionError(f"feature dim {x.shape[1]} != store dim {store.dim}")
+    logp = (x ** 2) @ store._inv.T  # (T, M*K)
+    cross = x @ store._mean_inv.T
+    cross *= 2.0
+    logp -= cross
+    del cross
+    logp += store._mean2_inv
+    logp *= 0.5
+    np.subtract(store._const, logp, out=logp)
+    logp += store._log_w
+    per_frame = _logsumexp(logp.reshape(len(x), -1, len(store)), axis=1)  # (T, K)
+    return np.ascontiguousarray(per_frame.T)
+
+
 def gmm_identify(store: TagStore, features):
     """MAP speaker decision: per speaker, best score over its emotion tags.
 
+    A tag's score is its mean per-frame log-likelihood over the utterance.
     Returns (speaker_id, score_table) where score_table maps speaker to its
     score; ties go to roster order and are flagged.
     """
-    if not store.speaker_roster:
-        raise DimensionError("empty tag store")
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
-    if data.shape[0] and data.shape[1] != store.dim:
-        raise DimensionError(f"feature dim {data.shape[1]} != store dim {store.dim}")
-
-    scores = {}
-    for spk in store.speaker_roster:
-        scores[spk] = max(score_utterance(store.tags[(spk, emo)], features)
-                          for emo in store.emotion_roster)
+    per_tag = frame_scores(store, features).mean(axis=1)
+    best_emotion = per_tag.reshape(len(store.speaker_roster), -1).max(axis=1)
+    scores = {spk: float(v) for spk, v in zip(store.speaker_roster, best_emotion)}
     best = max(store.speaker_roster, key=lambda s: scores[s])
     tie = sum(1 for s in store.speaker_roster if scores[s] == scores[best]) > 1
     return best, {"scores": scores, "tie": tie}

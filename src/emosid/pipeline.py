@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import zlib
 from dataclasses import dataclass, field, asdict
 
@@ -86,8 +87,10 @@ def build_bank(cfg: PipelineConfig) -> feat_mod.MelFilterbank:
                                      cfg.low_hz, cfg.high_hz)
 
 
-def _distort(clip: audio_mod.AudioClip, cfg: PipelineConfig) -> audio_mod.AudioClip:
-    seed = (cfg.seed, 4, zlib.crc32(clip.source_id.encode("utf-8")))
+def _distort(clip: audio_mod.AudioClip, cfg: PipelineConfig, entry) -> audio_mod.AudioClip:
+    # seeded by what the utterance is, not where its file lies
+    key = json.dumps([entry.speaker_id, entry.emotion, entry.sentence_id, entry.repetition])
+    seed = (cfg.seed, 4, zlib.crc32(key.encode("utf-8")))
     noise = interference_clip(len(clip.samples), clip.sample_rate_hz, seed)
     return audio_mod.mix_interference(clip, noise, cfg.snr_ratio, cfg.snr_mode).clip
 
@@ -97,7 +100,7 @@ def load_entry_features(entry, cfg: PipelineConfig, bank=None,
     clip = audio_mod.load_wav(entry.path)
     clip = audio_mod.resample(clip, cfg.target_rate_hz)
     if distort:
-        clip = _distort(clip, cfg)
+        clip = _distort(clip, cfg, entry)
     clip = audio_mod.pre_emphasize(clip, cfg.pre_emphasis)
     frames = audio_mod.frame_and_window(clip, cfg.frame_ms, cfg.hop_ms)
     if bank is None:
@@ -159,11 +162,12 @@ def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
     lvs, pooled, labels = [], [], []
     for e in train_entries:
         fm = feats[e.path]
-        for view in cascade_mod.segment_views(fm, plan):
-            lvs.append(cascade_mod.likelihood_vector(store, view).values)
-            pooled.append(cascade_mod.pooled_mfcc_stats(view))
+        spans = cascade_mod.segment(fm, plan)
+        lvs.append(cascade_mod.likelihood_vectors(store, fm, spans))
+        for a, b in spans:
+            pooled.append(cascade_mod.pooled_mfcc_stats(FeatureMatrix(fm.data[a:b], fm.meta)))
             labels.append(speaker_index[e.speaker_id])
-    lvs = np.stack(lvs)
+    lvs = np.concatenate(lvs)
     pooled = np.stack(pooled)
     labels = np.asarray(labels)
 

@@ -7,15 +7,14 @@ from emosid.cascade import (
     SegmentPlan,
     classify,
     classify_dnn_only,
-    likelihood_vector,
+    likelihood_vectors,
     pooled_mfcc_stats,
     segment,
-    segment_views,
 )
 from emosid.dnn import TrainConfig, init_model, train
-from emosid.errors import ConfigError, DimensionError
+from emosid.errors import ConfigError, DimensionError, EmptyUtteranceError
 from emosid.features import FeatureMatrix
-from emosid.gmm import GmmTag, TagStore, score_utterance
+from emosid.gmm import GmmTag, TagStore, em_fit, gmm_identify, score_utterance
 
 
 def fm(n, d=4, rng=None):
@@ -74,40 +73,108 @@ class TestSegment:
         with pytest.raises(DimensionError):
             segment(fm(0), SegmentPlan())
 
-    def test_views_share_storage(self):
-        parent = fm(150)
-        views = segment_views(parent, SegmentPlan(100, 0.5))
-        assert len(views) == 2
-        assert np.shares_memory(views[0].data, parent.data)
-
 
 class TestLikelihoodVector:
     def test_length_and_roster_order(self, rng):
         store = toy_store(rng)
         seg = fm(20, rng=rng)
-        lv = likelihood_vector(store, seg)
-        assert len(lv.values) == 6
+        lv = likelihood_vectors(store, seg, [(0, 20)])
+        assert lv.shape == (1, 6)
         expected = [score_utterance(store.tags[(spk, emo)], seg)
                     for spk in store.speaker_roster for emo in store.emotion_roster]
-        np.testing.assert_allclose(lv.values, expected, rtol=0, atol=0)
+        np.testing.assert_allclose(lv[0], expected, rtol=0, atol=0)
 
     def test_identical_tags_identical_entries(self, rng):
         tag = GmmTag(weights=np.array([1.0]), means=np.zeros((1, 4)),
                      variances=np.ones((1, 4)))
         store = TagStore(tags={("a", "n"): tag, ("b", "n"): tag},
                          speaker_roster=["a", "b"], emotion_roster=["n"])
-        lv = likelihood_vector(store, fm(10, rng=rng))
-        assert lv.values[0] == lv.values[1]
+        lv = likelihood_vectors(store, fm(10, rng=rng), [(0, 10)])
+        assert lv[0, 0] == lv[0, 1]
 
     def test_dimension_mismatch(self, rng):
         store = toy_store(rng)
         with pytest.raises(DimensionError):
-            likelihood_vector(store, fm(10, d=7, rng=rng))
+            likelihood_vectors(store, fm(10, d=7, rng=rng), [(0, 10)])
 
     def test_all_finite(self, rng):
         store = toy_store(rng)
-        lv = likelihood_vector(store, fm(10, rng=rng))
-        assert np.all(np.isfinite(lv.values))
+        lv = likelihood_vectors(store, fm(10, rng=rng), [(0, 10)])
+        assert np.all(np.isfinite(lv))
+
+    def test_span_outside_utterance(self, rng):
+        store = toy_store(rng)
+        for span in [(0, 11), (5, 5), (-1, 4)]:
+            with pytest.raises(DimensionError):
+                likelihood_vectors(store, fm(10, rng=rng), [span])
+
+
+def em_store(rng, num_speakers=3, num_emotions=2, duplicate=False):
+    """Tags trained by EM (M=8, D=13); with duplicate, the first two
+    speakers share identical tags and each tag repeats one component."""
+    tags = {}
+    speakers = [f"s{k}" for k in range(num_speakers)]
+    emotions = [f"e{k}" for k in range(num_emotions)]
+    for si, spk in enumerate(speakers):
+        for ei, emo in enumerate(emotions):
+            data = rng.standard_normal((400, 13)) * rng.uniform(0.5, 2.0, 13) \
+                + rng.standard_normal(13) * 2.0
+            tag = em_fit(data, 8, max_iters=20, seed=10 * si + ei, label=(spk, emo))
+            if duplicate:
+                tag.means[1], tag.variances[1] = tag.means[0], tag.variances[0]
+                tag.weights[1] = tag.weights[0]
+                if si == 1:
+                    tag = tags[("s0", emo)]
+            tags[(spk, emo)] = tag
+    return TagStore(tags=tags, speaker_roster=speakers, emotion_roster=emotions)
+
+
+class TestScoreMatrix:
+    """likelihood_vectors and gmm_identify against the per-tag, per-span
+    score_utterance loop they replaced."""
+
+    LENGTHS = (1, 49, 99, 100, 149, 150, 151, 799)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_matches_per_span_loop(self, rng, duplicate):
+        store = em_store(rng, duplicate=duplicate)
+        plan = SegmentPlan()
+        for n in self.LENGTHS:
+            features = FeatureMatrix(rng.standard_normal((n, 13)) * 1.5)
+            spans = segment(features, plan)
+            lv = likelihood_vectors(store, features, spans)
+            expected = [[score_utterance(tag, features.data[a:b])
+                         for tag in store.ordered_tags()] for a, b in spans]
+            np.testing.assert_allclose(lv, expected, rtol=0, atol=1e-9)
+
+            best, table = gmm_identify(store, features)
+            whole = {spk: max(score_utterance(store.tags[(spk, emo)], features)
+                              for emo in store.emotion_roster)
+                     for spk in store.speaker_roster}
+            np.testing.assert_allclose([table["scores"][s] for s in store.speaker_roster],
+                                       [whole[s] for s in store.speaker_roster],
+                                       rtol=0, atol=1e-9)
+            assert best == max(store.speaker_roster, key=lambda s: whole[s])
+            if duplicate:
+                assert lv[0, 0] == lv[0, len(store.emotion_roster)]
+                assert table["scores"]["s0"] == table["scores"]["s1"]
+                assert table["tie"] == (best == "s0")
+
+    def test_dimension_mismatch(self, rng):
+        store = em_store(rng, num_speakers=2, num_emotions=1)
+        features = FeatureMatrix(rng.standard_normal((120, 12)))
+        with pytest.raises(DimensionError):
+            likelihood_vectors(store, features, [(0, 100)])
+        with pytest.raises(DimensionError):
+            gmm_identify(store, features)
+
+    def test_empty_utterance(self, rng):
+        store = em_store(rng, num_speakers=2, num_emotions=1)
+        features = FeatureMatrix(np.zeros((0, 13)))
+        with pytest.raises(EmptyUtteranceError):
+            likelihood_vectors(store, features, [])
+        with pytest.raises(EmptyUtteranceError):
+            gmm_identify(store, features)
 
 
 def test_pooled_mfcc_stats(rng):
@@ -220,7 +287,7 @@ def test_trained_cascade_beats_chance(rng):
             comp = rng.integers(0, 2, 20)
             frames = tag.means[comp] + rng.standard_normal((20, 4)) * np.sqrt(
                 tag.variances[comp])
-            xs.append(likelihood_vector(store, FeatureMatrix(frames)).values)
+            xs.append(likelihood_vectors(store, FeatureMatrix(frames), [(0, 20)])[0])
             ys.append(k)
     xs = np.stack(xs)
     std = (xs.mean(axis=0), np.maximum(xs.std(axis=0), 1e-12))

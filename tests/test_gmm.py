@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from emosid.errors import DimensionError, EmptyUtteranceError, InsufficientDataError
 from emosid.features import FeatureMatrix
 from emosid.gmm import (
     GmmTag,
     TagStore,
+    _logsumexp,
     em_fit,
     gmm_identify,
     log_component_density,
@@ -31,6 +33,34 @@ def direct_mixture_density(tag, x):
         norm = np.prod(1.0 / np.sqrt(2 * np.pi * var))
         total += w * norm * np.exp(-0.5 * np.sum((x - mu) ** 2 / var))
     return np.log(total)
+
+
+class TestLogSumExp:
+    """The private log-sum-exp against scipy.special.logsumexp."""
+
+    def check(self, rows):
+        np.testing.assert_allclose(_logsumexp(rows), logsumexp(rows, axis=-1),
+                                   rtol=0, atol=1e-12)
+
+    def test_random_rows(self, rng):
+        self.check(rng.standard_normal((200, 8)) * 30)
+        self.check(rng.standard_normal((5, 7, 16)))
+
+    def test_tied_rows(self, rng):
+        rows = rng.standard_normal((50, 8))
+        rows[:, 3] = rows.max(axis=1)
+        rows[:10] = 2.5
+        self.check(rows)
+
+    def test_rows_with_minus_inf(self, rng):
+        rows = rng.standard_normal((20, 8))
+        rows[::2, :5] = -np.inf
+        rows[1] = -np.inf
+        self.check(rows)
+
+    def test_large_magnitude(self, rng):
+        self.check(rng.standard_normal((100, 8)) * 50 + 1e4)
+        self.check(rng.standard_normal((100, 8)) * 50 - 1e4)
 
 
 class TestComponentDensity:

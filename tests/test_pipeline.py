@@ -10,6 +10,7 @@ from emosid.pipeline import (
     PipelineConfig,
     evaluate_models,
     evaluation_report,
+    load_entry_features,
     train_models,
 )
 
@@ -62,6 +63,19 @@ class TestEvaluateModels:
         manifest, cfg, models = trained
         records = evaluate_models(manifest, models, cfg, modes=("gmm",), distort=True)
         assert all(r.condition == "distorted" for r in records)
+
+    def test_distortion_independent_of_corpus_directory(self, tmp_path):
+        spec = SynthSpec(num_speakers=2, sentences_per_split=1, repetitions=1,
+                         duration_s=(0.5, 0.6), seed=4)
+        first = generate_synthetic(spec, str(tmp_path / "one"))
+        second = generate_synthetic(spec, str(tmp_path / "nested" / "two"))
+        cfg = PipelineConfig(seed=4)
+        for a, b in zip(first.split_entries("test"), second.split_entries("test")):
+            assert a.path != b.path
+            fa = load_entry_features(a, cfg, distort=True)
+            fb = load_entry_features(b, cfg, distort=True)
+            np.testing.assert_array_equal(fa.data, fb.data)
+            assert not np.array_equal(fa.data, load_entry_features(a, cfg).data)
 
     def test_unknown_mode_rejected(self, trained):
         manifest, cfg, models = trained
