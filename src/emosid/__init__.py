@@ -11,12 +11,11 @@ from .features import FeatureMatrix, MelFilterbank, hz_to_mel, mel_to_hz, \
     power_spectrum, build_filterbank, mfcc
 from .gmm import GmmTag, TagStore, em_fit, score_utterance, frame_scores, gmm_identify
 from .dnn import DnnModel, TrainConfig, relu, forward, train
-from .cascade import SegmentPlan, segment, likelihood_vectors, classify, \
-    classify_dnn_only
+from .cascade import SegmentPlan, segment, likelihood_vectors, pooled_stats, classify
 from .evaluation import TrialRecord, sid_performance, students_t, \
     confusion_matrix, compare_two
 from .corpus import Manifest, SynthSpec, load_manifest, generate_synthetic, \
     protocol_counts
-from .pipeline import PipelineConfig, train_models, evaluate_models
+from .pipeline import PipelineConfig, train_tags, train_models, evaluate_models
 
 __version__ = "0.1.0"

@@ -109,6 +109,8 @@ def load_wav(path) -> AudioClip:
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         samples = raw.astype(np.float64)
+        if not np.isfinite(samples).all():  # np.clip below would keep NaN
+            raise AudioFormatError(f"{path}: non-finite samples")
     else:
         raise UnsupportedCodecError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "

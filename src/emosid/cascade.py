@@ -5,9 +5,9 @@ scored against every (speaker, emotion) tag to form a likelihood vector,
 which the DNN maps to a speaker posterior. Each frame is scored against a
 tag once, and a segment's vector is the mean of its frames' scores, so
 overlapping segments share work. Segment posteriors are averaged into the
-utterance decision. The DNN-alone ablation replaces the likelihood vector
-with pooled MFCC statistics (mean and std per coefficient over the
-segment).
+utterance decision. The DNN-alone ablation runs the same ``classify`` with
+pooled MFCC statistics (mean and std per coefficient over the segment) in
+place of the likelihood vector.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ class SegmentPlan:
 
     def __post_init__(self):
         if self.frames_per_segment < 1:
-            raise ValueError("frames_per_segment must be >= 1")
+            raise ConfigError("frames_per_segment must be >= 1")
         if not 0.0 <= self.overlap_fraction < 1.0:
-            raise ValueError("overlap_fraction must be in [0, 1)")
+            raise ConfigError("overlap_fraction must be in [0, 1)")
 
     @property
     def hop(self) -> int:
@@ -67,6 +67,12 @@ def segment(features: FeatureMatrix, plan: SegmentPlan):
     return spans
 
 
+def _check_spans(spans, num_frames: int) -> None:
+    for a, b in spans:
+        if not 0 <= a < b <= num_frames:
+            raise DimensionError(f"span ({a}, {b}) is empty or past {num_frames} frames")
+
+
 def likelihood_vectors(store: TagStore, features, spans) -> np.ndarray:
     """Mean log-likelihood of each frame span against every tag: (S, K).
 
@@ -74,16 +80,18 @@ def likelihood_vectors(store: TagStore, features, spans) -> np.ndarray:
     ``gmm.score_utterance(tag, features[a:b])`` bit for bit.
     """
     scores = gmm_mod.frame_scores(store, features)
-    num_frames = scores.shape[1]
-    for a, b in spans:
-        if not 0 <= a < b <= num_frames:
-            raise DimensionError(f"span ({a}, {b}) is empty or past {num_frames} frames")
+    _check_spans(spans, scores.shape[1])
     return np.stack([scores[:, a:b].mean(axis=1) for a, b in spans])
 
 
-def pooled_mfcc_stats(seg: FeatureMatrix) -> np.ndarray:
-    """Mean and standard deviation per coefficient: the DNN-alone input."""
-    return np.concatenate([seg.data.mean(axis=0), seg.data.std(axis=0)])
+def pooled_stats(store: TagStore, features, spans) -> np.ndarray:
+    """Mean and standard deviation per coefficient of each frame span:
+    (S, 2D), the DNN-alone input. The store is not used; the signature is
+    that of ``likelihood_vectors`` so that ``classify`` takes either."""
+    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+    _check_spans(spans, data.shape[0])
+    return np.stack([np.concatenate([data[a:b].mean(axis=0), data[a:b].std(axis=0)])
+                     for a, b in spans])
 
 
 def _aggregate(posteriors: np.ndarray, mode: str) -> np.ndarray:
@@ -105,45 +113,31 @@ class Decision:
     tie: bool = False
 
 
-def _decide(posteriors, spans, roster, aggregation) -> Decision:
-    posteriors = np.asarray(posteriors)
-    utt_posterior = _aggregate(posteriors, aggregation)
-    best = int(np.argmax(utt_posterior))
-    tie = int(np.sum(utt_posterior == utt_posterior[best])) > 1
-    per_segment = [{"span": list(span), "posterior": p.tolist()}
-                   for span, p in zip(spans, posteriors)]
-    return Decision(speaker_id=roster[best], posterior=utt_posterior,
-                    per_segment=per_segment, tie=tie)
-
-
 def classify(store: TagStore, model: dnn_mod.DnnModel, features: FeatureMatrix,
-             plan: SegmentPlan | None = None, aggregation: str = "mean") -> Decision:
-    """Full cascade: likelihood vectors -> DNN -> averaged speaker posterior."""
+             plan: SegmentPlan | None = None, aggregation: str = "mean",
+             inputs=likelihood_vectors) -> Decision:
+    """Segments -> DNN -> averaged posterior over the store's speaker roster.
+
+    inputs(store, features, spans) gives the DNN's row for each segment:
+    ``likelihood_vectors`` for the cascade, ``pooled_stats`` for the
+    DNN-alone ablation.
+    """
     plan = plan or SegmentPlan()
-    if model.input_size != len(store):
-        raise ConfigError(
-            f"DNN input size {model.input_size} != tag count {len(store)}")
     if model.output_size != len(store.speaker_roster):
         raise ConfigError(
             f"DNN output size {model.output_size} != speaker count "
             f"{len(store.speaker_roster)}")
     spans = segment(features, plan)
-    posteriors, _ = dnn_mod.forward(model, likelihood_vectors(store, features, spans))
-    return _decide(np.atleast_2d(posteriors), spans, store.speaker_roster, aggregation)
-
-
-def classify_dnn_only(model: dnn_mod.DnnModel, features: FeatureMatrix,
-                      plan: SegmentPlan | None = None, roster: list | None = None,
-                      aggregation: str = "mean") -> Decision:
-    """Ablation: the DNN consumes pooled MFCC statistics per segment."""
-    plan = plan or SegmentPlan()
-    expected = 2 * features.num_coeffs
-    if model.input_size != expected:
+    rows = inputs(store, features, spans)
+    if model.input_size != rows.shape[1]:
         raise ConfigError(
-            f"DNN input size {model.input_size} != pooled stat size {expected}")
-    spans = segment(features, plan)
-    stats = np.stack([pooled_mfcc_stats(FeatureMatrix(features.data[a:b], features.meta))
-                      for a, b in spans])
-    posteriors, _ = dnn_mod.forward(model, stats)
-    roster = roster or [str(k) for k in range(model.output_size)]
-    return _decide(np.atleast_2d(posteriors), spans, roster, aggregation)
+            f"DNN input size {model.input_size} != segment input width {rows.shape[1]}")
+    posteriors, _ = dnn_mod.forward(model, rows)
+    posteriors = np.atleast_2d(posteriors)
+    utt_posterior = _aggregate(posteriors, aggregation)
+    best = int(np.argmax(utt_posterior))
+    tie = int(np.sum(utt_posterior == utt_posterior[best])) > 1
+    per_segment = [{"span": list(span), "posterior": p.tolist()}
+                   for span, p in zip(spans, posteriors)]
+    return Decision(speaker_id=store.speaker_roster[best], posterior=utt_posterior,
+                    per_segment=per_segment, tie=tie)

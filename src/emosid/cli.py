@@ -22,7 +22,7 @@ from . import containers
 from . import gmm as gmm_mod
 from . import pipeline
 from .corpus import SynthSpec, generate_synthetic, load_manifest, protocol_counts
-from .errors import EmosidError, ValidationError
+from .errors import ConfigError, EmosidError, ValidationError
 from .pipeline import PipelineConfig
 
 _CONFIG_FLAGS = {
@@ -130,7 +130,12 @@ def cmd_train(args, gmm_only: bool = False, dnn_only: bool = False) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    models = pipeline.train_models(manifest, cfg)
+    if gmm_only:
+        models = pipeline.TrainedModels(tag_store=pipeline.train_tags(manifest, cfg))
+        models.report = {"config": cfg.to_dict(), "num_tags": len(models.tag_store),
+                         "train_utterances": len(manifest.split_entries("train"))}
+    else:
+        models = pipeline.train_models(manifest, cfg)
     wrote = {}
     if not dnn_only:
         path = out_dir / "tags.sidtags"
@@ -284,7 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EmosidError as exc:

@@ -8,13 +8,14 @@ bit-exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 
 import numpy as np
 
 from .dnn import DnnModel
-from .errors import ContainerError, VersionError
+from .errors import ContainerError, DimensionError, VersionError
 from .features import FeatureMatrix
 from .gmm import GmmTag, TagStore
 
@@ -47,6 +48,18 @@ def _unpack(magic: bytes, blob: bytes):
     return header, blob[16 + head_len:]
 
 
+def _schema_checked(loader):
+    """Header schema faults (a missing key, a wrongly typed or shaped value, an
+    inconsistent tag store) end in ContainerError like any corrupt container."""
+    @functools.wraps(loader)
+    def checked(blob: bytes):
+        try:
+            return loader(blob)
+        except (KeyError, IndexError, TypeError, ValueError, DimensionError) as exc:
+            raise ContainerError(f"bad header: {type(exc).__name__}: {exc}") from exc
+    return checked
+
+
 def _take_arrays(payload: bytes, shapes):
     arrays = []
     pos = 0
@@ -70,8 +83,11 @@ def save_features(fm: FeatureMatrix) -> bytes:
     return _pack(FEATURE_MAGIC, header, [fm.data])
 
 
+@_schema_checked
 def load_features(blob: bytes) -> FeatureMatrix:
     header, payload = _unpack(FEATURE_MAGIC, blob)
+    if len(header["shape"]) != 2 or not isinstance(header["meta"], dict):
+        raise ContainerError("feature header needs a 2-D shape and a meta object")
     (data,) = _take_arrays(payload, [tuple(header["shape"])])
     return FeatureMatrix(data=data, meta=header["meta"])
 
@@ -98,6 +114,7 @@ def save_tag_store(store: TagStore) -> bytes:
     return _pack(TAGS_MAGIC, header, arrays)
 
 
+@_schema_checked
 def load_tag_store(blob: bytes) -> TagStore:
     header, payload = _unpack(TAGS_MAGIC, blob)
     shapes = []
@@ -132,8 +149,11 @@ def save_dnn(model: DnnModel) -> bytes:
     return _pack(DNN_MAGIC, header, arrays)
 
 
+@_schema_checked
 def load_dnn(blob: bytes) -> DnnModel:
     header, payload = _unpack(DNN_MAGIC, blob)
+    if not isinstance(header["standardized"], bool):
+        raise ContainerError("'standardized' must be true or false")
     shapes = []
     in_size = header["layer_shapes"][0][0]
     if header["standardized"]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import ConfigError, DimensionError, DivergenceError
 
 DEFAULT_HIDDEN = (128, 128, 128, 128)
 
@@ -38,9 +38,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("learning_rate, epochs and batch_size must be positive")
+            raise ConfigError("learning_rate, epochs and batch_size must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
 
 @dataclass

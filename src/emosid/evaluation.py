@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ class TrialRecord:
     emotion: str
     condition: str = "normal"  # normal | distorted
     classifier_mode: str = "cascade"  # gmm | dnn | cascade
+    repetition: int = 0  # the manifest's; t-test samples are rates per repetition
 
 
 @dataclass
@@ -113,21 +114,6 @@ def confusion_matrix(records, speakers=None) -> dict:
             rec.emotion, np.zeros((len(speakers), len(speakers)), dtype=np.int64))
         mat[index[rec.true_speaker], index[rec.predicted_speaker]] += 1
     return {"speakers": list(speakers), "matrices": matrices}
-
-
-def compare_modes(tables: dict) -> dict:
-    """Pairwise mode comparison; reports absolute deltas and relative
-    improvement (rate_a - rate_b) / rate_b * 100, both labeled."""
-    modes = list(tables.keys())
-    rosters = [sorted({emo for (emo, _, _) in tbl.cells}) for tbl in tables.values()]
-    if len({tuple(r) for r in rosters}) > 1:
-        raise ValidationError("modes evaluated on different emotion rosters")
-
-    report = {"pairs": []}
-    for i, a in enumerate(modes):
-        for b in modes[i + 1:]:
-            report["pairs"].append(compare_two(tables[a], tables[b], a, b))
-    return report
 
 
 def compare_two(table_a: PerformanceTable, table_b: PerformanceTable,

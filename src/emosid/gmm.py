@@ -123,11 +123,6 @@ def log_component_densities(tag: GmmTag, x: np.ndarray) -> np.ndarray:
     return const - 0.5 * quad  # (T, M)
 
 
-def log_component_density(tag: GmmTag, i: int, x: np.ndarray) -> float:
-    """Log density of a single component at a single point."""
-    return float(log_component_densities(tag, x)[0, i])
-
-
 def log_mixture_density(tag: GmmTag, x: np.ndarray) -> np.ndarray:
     """log sum_i w_i b_i(x), via log-sum-exp. Returns (T,) (or scalar for 1-D x)."""
     scalar = np.asarray(x).ndim == 1

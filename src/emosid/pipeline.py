@@ -15,7 +15,7 @@ from . import evaluation as eval_mod
 from . import features as feat_mod
 from . import gmm as gmm_mod
 from .corpus import Manifest, interference_clip
-from .errors import EmosidError, ValidationError
+from .errors import ValidationError
 from .evaluation import TrialRecord
 from .features import FeatureMatrix
 from .gmm import TagStore
@@ -58,8 +58,18 @@ class PipelineConfig:
     snr_ratio: float = 2.0
     snr_mode: str = "power"
 
+    def __post_init__(self):
+        # a bad segmentation or training value fails here, not after EM
+        self.segment_plan()
+        self.train_config()
+
     def segment_plan(self) -> cascade_mod.SegmentPlan:
         return cascade_mod.SegmentPlan(self.segment_frames, self.segment_overlap)
+
+    def train_config(self) -> dnn_mod.TrainConfig:
+        return dnn_mod.TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
+                                   batch_size=self.batch_size, seed=self.seed,
+                                   lr_decay=self.lr_decay)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -97,24 +107,19 @@ def _distort(clip: audio_mod.AudioClip, cfg: PipelineConfig, entry) -> audio_mod
 
 def load_entry_features(entry, cfg: PipelineConfig, bank=None,
                         distort: bool = False) -> FeatureMatrix:
-    clip = audio_mod.load_wav(entry.path)
-    clip = audio_mod.resample(clip, cfg.target_rate_hz)
+    """Features of one manifest entry; with distort, interference is mixed in
+    at the working rate before the front end."""
+    clip = audio_mod.resample(audio_mod.load_wav(entry.path), cfg.target_rate_hz)
     if distort:
         clip = _distort(clip, cfg, entry)
-    clip = audio_mod.pre_emphasize(clip, cfg.pre_emphasis)
-    frames = audio_mod.frame_and_window(clip, cfg.frame_ms, cfg.hop_ms)
-    if bank is None:
-        bank = build_bank(cfg)
-    meta = {"source_id": entry.path, "frame_ms": cfg.frame_ms, "hop_ms": cfg.hop_ms,
-            "sample_rate_hz": cfg.target_rate_hz}
-    return feat_mod.mfcc(frames, bank, cfg.num_coeffs, cfg.log_floor, meta=meta)
+    return extract_features(clip, cfg, bank)
 
 
 @dataclass
 class TrainedModels:
     tag_store: TagStore
-    cascade_dnn: dnn_mod.DnnModel
-    dnn_only: dnn_mod.DnnModel
+    cascade_dnn: dnn_mod.DnnModel | None = None
+    dnn_only: dnn_mod.DnnModel | None = None
     report: dict = field(default_factory=dict)
 
 
@@ -125,24 +130,30 @@ def _standardization(vectors: np.ndarray):
     return mean, std
 
 
-def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
-    """Train the tag store, the cascade DNN, and the DNN-alone ablation."""
+def train_features(manifest: Manifest, cfg: PipelineConfig) -> list:
+    """(entry, features) for every train-split entry, in manifest order."""
     train_entries = manifest.split_entries("train")
     if not train_entries:
         raise ValidationError("manifest has no train entries")
-
     bank = build_bank(cfg)
-    feats = {e.path: load_entry_features(e, cfg, bank) for e in train_entries}
-    for e in train_entries:
-        if feats[e.path].num_frames == 0:
+    train = [(e, load_entry_features(e, cfg, bank)) for e in train_entries]
+    for e, fm in train:
+        if fm.num_frames == 0:
             raise ValidationError(f"{e.path}: shorter than one frame")
+    return train
 
-    # one GMM tag per (speaker, emotion)
+
+def train_tags(manifest: Manifest, cfg: PipelineConfig, train=None) -> TagStore:
+    """One GMM tag per (speaker, emotion), trained by EM on the train split.
+
+    train is ``train_features(manifest, cfg)``, extracted here when omitted.
+    """
+    if train is None:
+        train = train_features(manifest, cfg)
     tags = {}
     for si, spk in enumerate(manifest.speaker_roster):
         for ei, emo in enumerate(manifest.emotion_roster):
-            rows = [feats[e.path].data for e in train_entries
-                    if e.speaker_id == spk and e.emotion == emo]
+            rows = [fm.data for e, fm in train if e.speaker_id == spk and e.emotion == emo]
             if not rows:
                 raise ValidationError(
                     f"no training data for speaker {spk} emotion {emo}")
@@ -152,29 +163,30 @@ def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
             tags[(spk, emo)] = gmm_mod.em_fit(
                 data, cfg.mixtures, max_iters=cfg.gmm_max_iters, tol=cfg.gmm_tol,
                 variance_floor=cfg.variance_floor, seed=seed, label=(spk, emo))
-    store = TagStore(tags=tags, speaker_roster=list(manifest.speaker_roster),
-                     emotion_roster=list(manifest.emotion_roster))
+    return TagStore(tags=tags, speaker_roster=list(manifest.speaker_roster),
+                    emotion_roster=list(manifest.emotion_roster))
+
+
+def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
+    """Train the tag store, the cascade DNN, and the DNN-alone ablation."""
+    train = train_features(manifest, cfg)
+    store = train_tags(manifest, cfg, train)
 
     # segment-level training sets for both networks
     plan = cfg.segment_plan()
     speaker_index = {spk: k for k, spk in enumerate(manifest.speaker_roster)}
-
     lvs, pooled, labels = [], [], []
-    for e in train_entries:
-        fm = feats[e.path]
+    for e, fm in train:
         spans = cascade_mod.segment(fm, plan)
         lvs.append(cascade_mod.likelihood_vectors(store, fm, spans))
-        for a, b in spans:
-            pooled.append(cascade_mod.pooled_mfcc_stats(FeatureMatrix(fm.data[a:b], fm.meta)))
-            labels.append(speaker_index[e.speaker_id])
+        pooled.append(cascade_mod.pooled_stats(store, fm, spans))
+        labels += [speaker_index[e.speaker_id]] * len(spans)
     lvs = np.concatenate(lvs)
-    pooled = np.stack(pooled)
+    pooled = np.concatenate(pooled)
     labels = np.asarray(labels)
 
     num_speakers = len(manifest.speaker_roster)
-    tc = dnn_mod.TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-                             batch_size=cfg.batch_size, seed=cfg.seed,
-                             lr_decay=cfg.lr_decay)
+    tc = cfg.train_config()
     std_lv = _standardization(lvs) if cfg.standardize_inputs else None
     cascade_net = dnn_mod.train(lvs, labels, tc, cfg.hidden_sizes, num_speakers,
                                 input_standardization=std_lv)
@@ -185,7 +197,7 @@ def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
     report = {
         "config": cfg.to_dict(),
         "num_tags": len(store),
-        "train_utterances": len(train_entries),
+        "train_utterances": len(train),
         "train_segments": int(len(labels)),
         "cascade_final_loss": cascade_net.train_meta["final_loss"],
         "dnn_only_final_loss": dnn_only.train_meta["final_loss"],
@@ -211,27 +223,23 @@ def evaluate_models(manifest: Manifest, models: TrainedModels, cfg: PipelineConf
     bank = build_bank(cfg)
     plan = cfg.segment_plan()
     condition = "distorted" if distort else "normal"
+    networks = [("cascade", models.cascade_dnn, cascade_mod.likelihood_vectors),
+                ("dnn", models.dnn_only, cascade_mod.pooled_stats)]
     records = []
     for e in test_entries:
         fm = load_entry_features(e, cfg, bank, distort=distort)
         if fm.num_frames == 0:
             raise ValidationError(f"{e.path}: shorter than one frame")
-        utt = f"{e.path}"
+        predicted = {}
         if "gmm" in modes:
-            predicted, _ = gmm_mod.gmm_identify(models.tag_store, fm)
-            records.append(TrialRecord(utt, e.speaker_id, predicted, e.emotion,
-                                       condition, "gmm"))
-        if "cascade" in modes:
-            decision = cascade_mod.classify(models.tag_store, models.cascade_dnn,
-                                            fm, plan, cfg.aggregation)
-            records.append(TrialRecord(utt, e.speaker_id, decision.speaker_id,
-                                       e.emotion, condition, "cascade"))
-        if "dnn" in modes:
-            decision = cascade_mod.classify_dnn_only(
-                models.dnn_only, fm, plan, models.tag_store.speaker_roster,
-                cfg.aggregation)
-            records.append(TrialRecord(utt, e.speaker_id, decision.speaker_id,
-                                       e.emotion, condition, "dnn"))
+            predicted["gmm"], _ = gmm_mod.gmm_identify(models.tag_store, fm)
+        for mode, model, inputs in networks:
+            if mode in modes:
+                predicted[mode] = cascade_mod.classify(
+                    models.tag_store, model, fm, plan, cfg.aggregation, inputs).speaker_id
+        records += [TrialRecord(e.path, e.speaker_id, speaker, e.emotion, condition, mode,
+                                e.repetition)
+                    for mode, speaker in predicted.items()]
     return records
 
 
@@ -257,13 +265,10 @@ def evaluation_report(records, cfg: PipelineConfig) -> dict:
 
     # significance over per-repetition rates (one rate per test repetition)
     def _rep_rates(recs):
-        reps = sorted({_repetition_of(r.utterance_id) for r in recs})
-        rates = []
-        for rep in reps:
-            sub = [r for r in recs if _repetition_of(r.utterance_id) == rep]
-            rates.append(100.0 * sum(r.predicted_speaker == r.true_speaker
-                                     for r in sub) / len(sub))
-        return rates
+        hits = {}
+        for r in recs:
+            hits.setdefault(r.repetition, []).append(r.predicted_speaker == r.true_speaker)
+        return [100.0 * sum(h) / len(h) for _, h in sorted(hits.items())]
 
     modes = sorted(by_mode)
     for i, a in enumerate(modes):
@@ -279,11 +284,3 @@ def evaluation_report(records, cfg: PipelineConfig) -> dict:
             cmp = eval_mod.compare_two(tables[a], tables[b], a, b)
             report["comparisons"].append(cmp)
     return report
-
-
-def _repetition_of(utterance_id: str) -> str:
-    # synthetic corpus paths end in _r<rep>.wav; fall back to the whole id
-    stem = utterance_id.rsplit(".", 1)[0]
-    if "_r" in stem:
-        return stem.rsplit("_r", 1)[-1]
-    return stem

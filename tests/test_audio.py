@@ -70,6 +70,14 @@ class TestLoadWav:
         p.write_bytes(_wav_bytes([0.25, -0.5], audio_format=3, bits=32))
         np.testing.assert_allclose(load_wav(p).samples, [0.25, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, bad):
+        # np.clip keeps NaN, so such a clip would reach the network
+        p = tmp_path / "nan.wav"
+        p.write_bytes(_wav_bytes([0.25, bad, -0.5], audio_format=3, bits=32))
+        with pytest.raises(AudioFormatError, match="non-finite"):
+            load_wav(p)
+
     def test_unknown_chunk_skipped(self, tmp_path):
         junk = b"LIST" + struct.pack("<I", 5) + b"junk!" + b"\x00"
         p = tmp_path / "j.wav"

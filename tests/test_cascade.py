@@ -6,9 +6,8 @@ import pytest
 from emosid.cascade import (
     SegmentPlan,
     classify,
-    classify_dnn_only,
     likelihood_vectors,
-    pooled_mfcc_stats,
+    pooled_stats,
     segment,
 )
 from emosid.dnn import TrainConfig, init_model, train
@@ -45,9 +44,9 @@ class TestSegmentPlan:
         assert SegmentPlan(1, 0.9).hop == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SegmentPlan(0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SegmentPlan(100, 1.0)
 
 
@@ -178,13 +177,18 @@ class TestScoreMatrix:
 
 
 def test_pooled_mfcc_stats(rng):
+    store = toy_store(rng)
     seg = fm(50, rng=rng)
-    stats = pooled_mfcc_stats(seg)
-    assert stats.shape == (8,)
-    np.testing.assert_allclose(stats[:4], seg.data.mean(axis=0))
-    np.testing.assert_allclose(stats[4:], seg.data.std(axis=0))
+    stats = pooled_stats(store, seg, [(0, 50), (10, 30)])
+    assert stats.shape == (2, 8)
+    np.testing.assert_allclose(stats[0, :4], seg.data.mean(axis=0))
+    np.testing.assert_allclose(stats[0, 4:], seg.data.std(axis=0))
+    np.testing.assert_allclose(stats[1, 4:], seg.data[10:30].std(axis=0))
     const = FeatureMatrix(data=np.tile([1.0, 2.0, 3.0, 4.0], (10, 1)))
-    np.testing.assert_allclose(pooled_mfcc_stats(const)[4:], 0.0)
+    np.testing.assert_allclose(pooled_stats(store, const, [(0, 10)])[0, 4:], 0.0)
+    for span in [(0, 11), (5, 5)]:
+        with pytest.raises(DimensionError):
+            pooled_stats(store, const, [span])
 
 
 class TestClassify:
@@ -254,25 +258,34 @@ class TestClassify:
 
 
 class TestClassifyDnnOnly:
+    """The DNN-alone ablation: classify with pooled_stats as the inputs."""
+
     def test_single_segment(self, rng):
+        store = toy_store(rng)
         model = init_model(8, (16,), 3, seed=1)
-        dec = classify_dnn_only(model, fm(60, rng=rng), SegmentPlan(100, 0.5),
-                                roster=["a", "b", "c"])
+        dec = classify(store, model, fm(60, rng=rng), SegmentPlan(100, 0.5),
+                       inputs=pooled_stats)
         assert len(dec.per_segment) == 1
         assert dec.speaker_id in ("a", "b", "c")
 
-    def test_constant_features_deterministic(self):
+    def test_constant_features_deterministic(self, rng):
+        store = toy_store(rng)
         model = init_model(8, (16,), 3, seed=1)
         const = FeatureMatrix(data=np.tile([0.1, 0.2, 0.3, 0.4], (120, 1)))
-        a = classify_dnn_only(model, const)
-        b = classify_dnn_only(model, const)
+        a = classify(store, model, const, inputs=pooled_stats)
+        b = classify(store, model, const, inputs=pooled_stats)
         assert a.speaker_id == b.speaker_id
         np.testing.assert_array_equal(a.posterior, b.posterior)
 
     def test_input_size_checked(self, rng):
+        store = toy_store(rng)
         model = init_model(5, (16,), 3, seed=1)
         with pytest.raises(ConfigError):
-            classify_dnn_only(model, fm(60, rng=rng))
+            classify(store, model, fm(60, rng=rng), inputs=pooled_stats)
+        # a cascade-sized network (one input per tag) is refused as well
+        with pytest.raises(ConfigError):
+            classify(store, init_model(6, (16,), 3, seed=1), fm(60, rng=rng),
+                     inputs=pooled_stats)
 
 
 def test_trained_cascade_beats_chance(rng):

@@ -1,11 +1,13 @@
 """End-to-end CLI behaviour on a small synthetic corpus."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emosid import dnn, pipeline
 from emosid.cli import main
 
 
@@ -105,6 +107,21 @@ class TestTrain:
         for name in ("tags.sidtags", "cascade.siddnn", "dnn_only.siddnn"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_train_gmm_trains_no_network(self, manifest_path, model_dir, tmp_path,
+                                         capsys, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("train-gmm trained a network")
+
+        monkeypatch.setattr(dnn, "train", no_network)
+        out = tmp_path / "g"
+        code, stdout, _ = run(capsys, "train-gmm", "--manifest", manifest_path,
+                              "--out", str(out), "--epochs", "40", "--seed", "3")
+        assert code == 0
+        assert json.loads(stdout)["report"]["num_tags"] == 18
+        # the same tags as full training with the same settings
+        assert (out / "tags.sidtags").read_bytes() == \
+            (model_dir / "tags.sidtags").read_bytes()
+
     def test_train_gmm_only(self, manifest_path, tmp_path, capsys):
         out = tmp_path / "g"
         code, _, _ = run(capsys, "train-gmm", "--manifest", manifest_path,
@@ -185,3 +202,30 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, "train", "--manifest", manifest_path,
                            "--out", str(tmp_path / "x"), "--config", str(cfg_path))
         assert code == 1 and "unknown config keys" in err
+
+
+class TestTypedFailures:
+    @pytest.mark.parametrize("flag, value", [("--segment-overlap", "1.5"),
+                                             ("--epochs", "0")])
+    def test_bad_config_exit_1_before_training(self, manifest_path, tmp_path, capsys,
+                                               monkeypatch, flag, value):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a bad config")
+
+        monkeypatch.setattr(pipeline, "train_models", no_training)
+        code, _, err = run(capsys, "train", "--manifest", manifest_path,
+                           "--out", str(tmp_path / "x"), flag, value)
+        assert code == 1 and err.startswith("error:")
+
+    def test_non_finite_wav_identify_exit(self, model_dir, tmp_path, capsys):
+        samples = np.sin(np.arange(12000) / 7.0).astype("<f4")
+        samples[5000] = np.nan
+        body = samples.tobytes()
+        fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 12000, 48000, 4, 32)
+        chunks = b"WAVE" + fmt + b"data" + struct.pack("<I", len(body)) + body
+        wav = tmp_path / "nan.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+        code, _, err = run(capsys, "identify", "--wav", str(wav),
+                           "--tags", str(model_dir / "tags.sidtags"),
+                           "--dnn", str(model_dir / "cascade.siddnn"))
+        assert code == 2 and "non-finite" in err

@@ -1,5 +1,6 @@
 """Binary container round trips: features, tag stores, DNN models."""
 
+import json
 import struct
 
 import numpy as np
@@ -118,3 +119,80 @@ class TestDnn:
         blob = save_dnn(init_model(3, (4,), 2, seed=0))
         with pytest.raises(ContainerError):
             load_dnn(blob[: len(blob) // 2])
+
+
+def _rewrite_header(blob, change):
+    """The same container with its JSON header passed through change."""
+    (head_len,) = struct.unpack_from("<I", blob, 12)
+    head = json.dumps(change(json.loads(blob[16:16 + head_len]))).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(head)) + head + blob[16 + head_len:]
+
+
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _set(key, value):
+    return lambda h: {**h, key: value}
+
+
+def _first_tag(change):
+    return lambda h: {**h, "tags": [change(h["tags"][0])] + h["tags"][1:]}
+
+
+def _valid_blob(kind):
+    if kind == "features":
+        return save_features(FeatureMatrix(data=np.ones((3, 2)), meta={"frame_ms": 25.0}))
+    if kind == "tags":
+        tags = {(spk, "n"): GmmTag(weights=np.array([1.0]), means=np.zeros((1, 2)),
+                                   variances=np.ones((1, 2)), label=(spk, "n"))
+                for spk in ("a", "b")}
+        return save_tag_store(TagStore(tags=tags, speaker_roster=["a", "b"],
+                                       emotion_roster=["n"]))
+    return save_dnn(init_model(3, (4,), 2, seed=0,
+                               input_standardization=(np.zeros(3), np.ones(3))))
+
+
+_LOADERS = {"features": load_features, "tags": load_tag_store, "dnn": load_dnn}
+
+_SCHEMA_FAULTS = {
+    "features-no-shape": ("features", _drop("shape")),
+    "features-no-meta": ("features", _drop("meta")),
+    "features-shape-str": ("features", _set("shape", "x")),
+    "features-shape-1d": ("features", _set("shape", [6])),
+    "features-shape-negative": ("features", _set("shape", [-1, 2])),
+    "features-shape-float": ("features", _set("shape", [3.0, 2])),
+    "features-meta-list": ("features", _set("meta", [1, 2])),
+    "features-header-list": ("features", lambda h: [h]),
+    "tags-no-tags": ("tags", _drop("tags")),
+    "tags-no-speaker-roster": ("tags", _drop("speaker_roster")),
+    "tags-no-emotion-roster": ("tags", _drop("emotion_roster")),
+    "tags-roster-int": ("tags", _set("speaker_roster", 5)),
+    "tags-tags-dict": ("tags", _set("tags", {"a": 1})),
+    "tags-tag-no-dim": ("tags", _first_tag(_drop("dim"))),
+    "tags-tag-no-label": ("tags", _first_tag(_drop("label"))),
+    "tags-tag-no-components": ("tags", _first_tag(_drop("num_components"))),
+    "tags-tag-no-train-meta": ("tags", _first_tag(_drop("train_meta"))),
+    "tags-tag-components-str": ("tags", _first_tag(_set("num_components", "1"))),
+    "tags-tag-label-str": ("tags", _first_tag(_set("label", "a"))),
+    "tags-tag-dim-mismatch": ("tags", _first_tag(_set("dim", 1))),
+    "tags-header-list": ("tags", lambda h: [h]),
+    "dnn-no-layer-shapes": ("dnn", _drop("layer_shapes")),
+    "dnn-no-standardized": ("dnn", _drop("standardized")),
+    "dnn-no-train-meta": ("dnn", _drop("train_meta")),
+    "dnn-layers-empty": ("dnn", _set("layer_shapes", [])),
+    "dnn-layers-str": ("dnn", _set("layer_shapes", "x")),
+    "dnn-layer-1d": ("dnn", _set("layer_shapes", [[3], [4, 2]])),
+    "dnn-layers-do-not-chain": ("dnn", _set("layer_shapes", [[3, 4], [2, 4]])),
+    "dnn-standardized-str": ("dnn", _set("standardized", "yes")),
+    "dnn-header-list": ("dnn", lambda h: [h]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCHEMA_FAULTS))
+def test_header_schema_faults_are_container_errors(case):
+    kind, change = _SCHEMA_FAULTS[case]
+    blob = _valid_blob(kind)
+    _LOADERS[kind](blob)  # the untouched container loads
+    with pytest.raises(ContainerError):
+        _LOADERS[kind](_rewrite_header(blob, change))

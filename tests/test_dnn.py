@@ -14,7 +14,7 @@ from emosid.dnn import (
     softmax,
     train,
 )
-from emosid.errors import DimensionError, DivergenceError
+from emosid.errors import ConfigError, DimensionError, DivergenceError
 
 
 class TestRelu:
@@ -186,7 +186,7 @@ class TestTrain:
         assert model.hidden_sizes == (128, 128, 128, 128)
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(lr_decay=0.0)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from emosid.errors import ValidationError
+from emosid.pipeline import PipelineConfig, evaluation_report
 from emosid.evaluation import (
     PerformanceTable,
     TrialRecord,
-    compare_modes,
     compare_two,
     confusion_matrix,
     sid_performance,
@@ -170,11 +170,12 @@ class TestCompareModes:
         assert abs(out["average"]["absolute_delta"] - 12.4) < 1e-9
 
     def test_pairwise_report(self):
-        tables = {"cascade": _fixture_table(81.7, "cascade"),
-                  "gmm": _fixture_table(69.3, "gmm"),
-                  "dnn": _fixture_table(76.2, "dnn")}
-        out = compare_modes(tables)
-        assert len(out["pairs"]) == 3
+        records = [rec for mode, n in (("cascade", 9), ("gmm", 7), ("dnn", 8))
+                   for rec in make_records(n, 10, mode=mode)]
+        out = evaluation_report(records, PipelineConfig())
+        assert len(out["comparisons"]) == 3
+        assert {tuple(c["modes"]) for c in out["comparisons"]} == {
+            ("cascade", "dnn"), ("cascade", "gmm"), ("dnn", "gmm")}
 
     def test_roster_mismatch(self):
         a = _fixture_table(80.0, "gmm")

@@ -12,7 +12,7 @@ from emosid.gmm import (
     _logsumexp,
     em_fit,
     gmm_identify,
-    log_component_density,
+    log_component_densities,
     log_mixture_density,
     responsibilities,
     score_utterance,
@@ -66,7 +66,7 @@ class TestLogSumExp:
 class TestComponentDensity:
     def test_standard_normal_at_zero(self):
         tag = make_tag([1.0], [[0.0]], [[1.0]])
-        assert abs(log_component_density(tag, 0, np.array([0.0]))
+        assert abs(log_component_densities(tag, np.array([0.0]))[0, 0]
                    - (-0.5 * np.log(2 * np.pi))) < 1e-12
 
     def test_at_mean_quadratic_vanishes(self, rng):
@@ -75,20 +75,20 @@ class TestComponentDensity:
         mu = rng.standard_normal((1, d))
         tag = make_tag([1.0], mu, var)
         expected = -0.5 * (d * np.log(2 * np.pi) + np.sum(np.log(var)))
-        assert abs(log_component_density(tag, 0, mu[0]) - expected) < 1e-12
+        assert abs(log_component_densities(tag, mu[0])[0, 0] - expected) < 1e-12
 
     def test_integrates_to_one_quadrature(self):
         # 1-D standard normal: quadrature of exp(log b) over [-8, 8]
         tag = make_tag([1.0], [[0.0]], [[1.0]])
         grid = np.linspace(-8, 8, 20001)
-        vals = np.exp([log_component_density(tag, 0, np.array([g])) for g in grid])
+        vals = np.exp([log_component_densities(tag, np.array([g]))[0, 0] for g in grid])
         integral = np.trapezoid(vals, grid)
         assert abs(integral - 1.0) < 1e-4
 
     def test_dimension_mismatch(self):
         tag = make_tag([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(DimensionError):
-            log_component_density(tag, 0, np.zeros(3))
+            log_component_densities(tag, np.zeros(3))
 
 
 class TestMixtureDensity:
@@ -96,7 +96,7 @@ class TestMixtureDensity:
         tag = make_tag([1.0], rng.standard_normal((1, 3)), rng.uniform(0.5, 2, (1, 3)))
         x = rng.standard_normal(3)
         assert abs(log_mixture_density(tag, x)
-                   - log_component_density(tag, 0, x)) < 1e-12
+                   - log_component_densities(tag, x)[0, 0]) < 1e-12
 
     def test_mixture_of_clones(self, rng):
         mu = rng.standard_normal(2)

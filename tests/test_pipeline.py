@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from emosid.audio import load_wav
 from emosid.corpus import SynthSpec, generate_synthetic
-from emosid.errors import ValidationError
-from emosid.evaluation import sid_performance
+from emosid.errors import ConfigError, ValidationError
+from emosid.evaluation import TrialRecord, sid_performance
 from emosid.pipeline import (
     PipelineConfig,
     evaluate_models,
     evaluation_report,
+    extract_features,
     load_entry_features,
     train_models,
 )
@@ -24,6 +26,43 @@ def trained(tmp_path_factory):
     cfg = PipelineConfig(seed=3, epochs=40)
     models = train_models(manifest, cfg)
     return manifest, cfg, models
+
+
+def test_entry_features_are_the_front_end(tmp_path):
+    """A 16 kHz entry goes through the one front end: load, then extract."""
+    spec = SynthSpec(num_speakers=2, sentences_per_split=1, repetitions=1,
+                     duration_s=(0.5, 0.6), sample_rate_hz=16000, seed=5)
+    manifest = generate_synthetic(spec, str(tmp_path))
+    cfg = PipelineConfig(seed=5)
+    for e in manifest.entries[:4]:
+        got = load_entry_features(e, cfg)
+        want = extract_features(load_wav(e.path), cfg)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got.meta == want.meta and got.meta["source_id"] == e.path
+
+
+@pytest.mark.parametrize("field, value", [("segment_overlap", 1.5), ("segment_frames", 0),
+                                          ("epochs", 0), ("batch_size", 0),
+                                          ("learning_rate", 0.0), ("lr_decay", 1.5)])
+def test_config_validated_at_construction(field, value):
+    with pytest.raises(ConfigError):
+        PipelineConfig(**{field: value})
+
+
+def test_t_test_samples_follow_manifest_repetition():
+    """Samples are rates per manifest repetition, whatever the paths look like:
+    here '_r' appears in the directory name and in no file name."""
+    records = []
+    for mode, wrong in (("gmm", {0}), ("cascade", set())):
+        for k in range(8):
+            rep = k % 2
+            predicted = "b" if k in wrong else "a"
+            records.append(TrialRecord(f"/data/my_run/utt{k}.wav", "a", predicted,
+                                       "neutral", classifier_mode=mode, repetition=rep))
+    report = evaluation_report(records, PipelineConfig())
+    (t_test,) = report["t_tests"]
+    assert t_test["modes"] == ["cascade", "gmm"]
+    assert t_test["samples"] == [[100.0, 100.0], [75.0, 100.0]]
 
 
 class TestTrainModels:
@@ -58,6 +97,8 @@ class TestEvaluateModels:
         n_test = len(manifest.split_entries("test"))
         assert len(records) == 3 * n_test
         assert all(r.condition == "normal" for r in records)
+        repetition = {e.path: e.repetition for e in manifest.split_entries("test")}
+        assert all(r.repetition == repetition[r.utterance_id] for r in records)
 
     def test_distorted_condition_labeled(self, trained):
         manifest, cfg, models = trained
