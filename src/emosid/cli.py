@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: synth, validate-manifest, extract, train-gmm, train-dnn,
-train, identify, evaluate. Exit codes: 0 ok, 1 input error, 2 runtime
+Subcommands: synth, validate-manifest, extract, train-gmm, train,
+identify, evaluate. Exit codes: 0 ok, 1 input error, 2 runtime
 failure. Flag > config file > default precedence; the effective config is
 echoed into every report.
 """
@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,26 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="feed raw likelihood vectors to the DNN")
 
 
+def _json_is(value, typ) -> bool:
+    """isinstance for a JSON value: 8 is a float, true is not a number."""
+    if isinstance(value, bool):
+        return typ is bool
+    return isinstance(value, (int, float) if typ is float else typ)
+
+
+def _check_config_types(file_cfg: dict) -> None:
+    """Reject config file values of the wrong JSON type; nothing is coerced."""
+    hints = typing.get_type_hints(PipelineConfig)
+    for name, value in file_cfg.items():
+        want = hints[name]
+        if want is tuple:  # hidden_sizes: a list of ints
+            ok = isinstance(value, list) and all(_json_is(v, int) for v in value)
+        else:
+            ok = any(_json_is(value, t) for t in typing.get_args(want) or (want,))
+        if not ok:
+            raise ConfigError(f"config key {name!r}: {value!r} is not {want}")
+
+
 def _build_config(args) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
@@ -57,6 +78,7 @@ def _build_config(args) -> PipelineConfig:
         unknown = set(file_cfg) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_types(file_cfg)
         values.update(file_cfg)
     for name in list(_CONFIG_FLAGS) + ["snr_mode"]:
         v = getattr(args, name, None)
@@ -124,7 +146,7 @@ def cmd_extract(args) -> int:
     return 2 if failures else 0
 
 
-def cmd_train(args, gmm_only: bool = False, dnn_only: bool = False) -> int:
+def cmd_train(args, gmm_only: bool = False) -> int:
     cfg = _build_config(args)
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out)
@@ -136,14 +158,12 @@ def cmd_train(args, gmm_only: bool = False, dnn_only: bool = False) -> int:
                          "train_utterances": len(manifest.split_entries("train"))}
     else:
         models = pipeline.train_models(manifest, cfg)
-    wrote = {}
-    if not dnn_only:
-        path = out_dir / "tags.sidtags"
-        containers.write_file(path, containers.save_tag_store(models.tag_store))
-        wrote["tag_store"] = str(path)
-        sidecar = {(f"{spk}|{emo}"): tag.train_meta
-                   for (spk, emo), tag in models.tag_store.tags.items()}
-        _emit({"tags": sidecar}, out_dir / "tags.meta.json")
+    store = models.tag_store
+    path = out_dir / "tags.sidtags"
+    containers.write_file(path, containers.save_tag_store(store))
+    wrote = {"tag_store": str(path)}
+    keys = [f"{spk}|{emo}" for spk in store.speaker_roster for emo in store.emotion_roster]
+    _emit({"tags": dict(zip(keys, store.train_meta))}, out_dir / "tags.meta.json")
     if not gmm_only:
         path = out_dir / "cascade.siddnn"
         containers.write_file(path, containers.save_dnn(models.cascade_dnn))
@@ -251,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_extract)
 
-    for name, kwargs in [("train", {}), ("train-gmm", {"gmm_only": True}),
-                         ("train-dnn", {"dnn_only": True})]:
+    for name, kwargs in [("train", {}), ("train-gmm", {"gmm_only": True})]:
         p = sub.add_parser(name, help=f"{name} on the manifest's train split")
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True)

@@ -2,8 +2,11 @@
 
 All three formats share a layout: an 8-byte magic string, a uint32 format
 version, a JSON header (describing metadata and array shapes), then the
-arrays themselves as row-major little-endian float64. Round trips are
-bit-exact.
+arrays themselves as row-major little-endian float64, all finite. Round
+trips are bit-exact. A tag store is three arrays, weights (K, M), means
+(K, M, D) and variances (K, M, D), tag k in (speaker x emotion) roster
+order; its header holds the rosters, the shape [K, M, D] and one
+train_meta record per tag.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ import numpy as np
 from .dnn import DnnModel
 from .errors import ContainerError, DimensionError, VersionError
 from .features import FeatureMatrix
-from .gmm import GmmTag, TagStore
+from .gmm import TagStore
 
 FEATURE_MAGIC = b"SIDFEAT\0"
 TAGS_MAGIC = b"SIDTAGS\0"
 DNN_MAGIC = b"SIDDNN\0\0"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _pack(magic: bytes, header: dict, arrays) -> bytes:
@@ -55,7 +58,8 @@ def _schema_checked(loader):
     def checked(blob: bytes):
         try:
             return loader(blob)
-        except (KeyError, IndexError, TypeError, ValueError, DimensionError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError,
+                DimensionError) as exc:
             raise ContainerError(f"bad header: {type(exc).__name__}: {exc}") from exc
     return checked
 
@@ -68,8 +72,10 @@ def _take_arrays(payload: bytes, shapes):
         nbytes = count * 8
         if pos + nbytes > len(payload):
             raise ContainerError("truncated payload")
-        arrays.append(np.frombuffer(payload[pos:pos + nbytes], dtype="<f8")
-                      .reshape(shape).copy())
+        arr = np.frombuffer(payload[pos:pos + nbytes], dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ContainerError("non-finite value in payload")
+        arrays.append(arr)
         pos += nbytes
     if pos != len(payload):
         raise ContainerError("trailing bytes after payload")
@@ -95,41 +101,26 @@ def load_features(blob: bytes) -> FeatureMatrix:
 # --- GMM tag store ---
 
 def save_tag_store(store: TagStore) -> bytes:
-    keys = [[spk, emo] for spk in store.speaker_roster for emo in store.emotion_roster]
     header = {
         "speaker_roster": list(store.speaker_roster),
         "emotion_roster": list(store.emotion_roster),
-        "tags": [],
+        "shape": list(store.means.shape),
+        "train_meta": store.train_meta,
     }
-    arrays = []
-    for spk, emo in keys:
-        tag = store.tags[(spk, emo)]
-        header["tags"].append({
-            "label": [spk, emo],
-            "num_components": tag.num_components,
-            "dim": tag.dim,
-            "train_meta": tag.train_meta,
-        })
-        arrays += [tag.weights, tag.means, tag.variances]
-    return _pack(TAGS_MAGIC, header, arrays)
+    return _pack(TAGS_MAGIC, header, [store.weights, store.means, store.variances])
 
 
 @_schema_checked
 def load_tag_store(blob: bytes) -> TagStore:
     header, payload = _unpack(TAGS_MAGIC, blob)
-    shapes = []
-    for rec in header["tags"]:
-        m, d = rec["num_components"], rec["dim"]
-        shapes += [(m,), (m, d), (m, d)]
-    arrays = _take_arrays(payload, shapes)
-    tags = {}
-    for j, rec in enumerate(header["tags"]):
-        spk, emo = rec["label"]
-        tags[(spk, emo)] = GmmTag(
-            weights=arrays[3 * j], means=arrays[3 * j + 1], variances=arrays[3 * j + 2],
-            label=(spk, emo), train_meta=rec["train_meta"])
-    return TagStore(tags=tags, speaker_roster=header["speaker_roster"],
-                    emotion_roster=header["emotion_roster"])
+    if len(header["shape"]) != 3 or not isinstance(header["train_meta"], list):
+        raise ContainerError("tag header needs a 3-D shape and a train_meta list")
+    k, m, d = header["shape"]
+    weights, means, variances = _take_arrays(payload, [(k, m), (k, m, d), (k, m, d)])
+    return TagStore(speaker_roster=header["speaker_roster"],
+                    emotion_roster=header["emotion_roster"],
+                    weights=weights, means=means, variances=variances,
+                    train_meta=header["train_meta"])
 
 
 # --- DNN model ---
@@ -161,17 +152,9 @@ def load_dnn(blob: bytes) -> DnnModel:
     for shp in header["layer_shapes"]:
         shapes += [tuple(shp), (shp[1],)]
     arrays = _take_arrays(payload, shapes)
-    pos = 0
-    standardization = None
-    if header["standardized"]:
-        standardization = (arrays[0], arrays[1])
-        pos = 2
-    weights, biases = [], []
-    for _ in header["layer_shapes"]:
-        weights.append(arrays[pos])
-        biases.append(arrays[pos + 1])
-        pos += 2
-    return DnnModel(weights=weights, biases=biases,
+    standardization = tuple(arrays[:2]) if header["standardized"] else None
+    layers = arrays[2:] if header["standardized"] else arrays
+    return DnnModel(weights=layers[0::2], biases=layers[1::2],
                     input_standardization=standardization,
                     train_meta=header["train_meta"])
 

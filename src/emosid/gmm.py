@@ -4,8 +4,9 @@ One mixture ("tag") is trained per (speaker, emotion) pair. Everything is
 evaluated in the log domain; mixture likelihoods use log-sum-exp so that
 far-out frames never underflow to -inf.
 
-``frame_scores`` scores an utterance against every tag of a ``TagStore`` at
-once; ``score_utterance`` scores it against one tag and is the reference the
+A ``TagStore`` holds all tags as stacked (K, M, D) arrays in roster order.
+``frame_scores`` scores an utterance against every tag of a store at once;
+``score_utterance`` scores it against one tag and is the reference the
 stacked kernel is tested against, bit for bit.
 """
 
@@ -33,12 +34,7 @@ class GmmTag:
     weights: np.ndarray  # (M,)
     means: np.ndarray  # (M, D)
     variances: np.ndarray  # (M, D), floored
-    label: tuple = ("", "")  # (speaker_id, emotion_id)
     train_meta: dict = field(default_factory=dict)
-
-    @property
-    def num_components(self) -> int:
-        return self.weights.shape[0]
 
     @property
     def dim(self) -> int:
@@ -105,12 +101,14 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def _component_terms(tag: GmmTag):
+def _component_terms(means: np.ndarray, variances: np.ndarray):
     """Per-component terms of the log density: 1/var, mean/var,
-    sum(mean^2/var) and the normalizing constant."""
-    inv = 1.0 / tag.variances
-    const = -0.5 * (tag.dim * _LOG_2PI + np.sum(np.log(tag.variances), axis=1))
-    return inv, tag.means * inv, np.sum(tag.means ** 2 * inv, axis=1), const
+    sum(mean^2/var) and the normalizing constant. Sums run over the last
+    (feature) axis, so one tag's (M, D) arrays and a store's (K, M, D)
+    arrays give the same values."""
+    inv = 1.0 / variances
+    const = -0.5 * (means.shape[-1] * _LOG_2PI + np.sum(np.log(variances), axis=-1))
+    return inv, means * inv, np.sum(means ** 2 * inv, axis=-1), const
 
 
 def log_component_densities(tag: GmmTag, x: np.ndarray) -> np.ndarray:
@@ -118,7 +116,7 @@ def log_component_densities(tag: GmmTag, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != tag.dim:
         raise DimensionError(f"feature dim {x.shape[1]} != model dim {tag.dim}")
-    inv, mean_inv, mean2_inv, const = _component_terms(tag)
+    inv, mean_inv, mean2_inv, const = _component_terms(tag.means, tag.variances)
     quad = (x ** 2) @ inv.T - 2.0 * (x @ mean_inv.T) + mean2_inv
     return const - 0.5 * quad  # (T, M)
 
@@ -130,13 +128,12 @@ def log_mixture_density(tag: GmmTag, x: np.ndarray) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def responsibilities(tag: GmmTag, x: np.ndarray) -> np.ndarray:
-    """Posterior component memberships; rows sum to 1."""
-    scalar = np.asarray(x).ndim == 1
-    logp = log_component_densities(tag, x) + np.log(tag.weights)
-    logp -= _logsumexp(logp)[:, None]
-    r = np.exp(logp)
-    return r[0] if scalar else r
+def _e_step(tag: GmmTag, data: np.ndarray):
+    """Per-frame log-likelihood (T,) and posterior component memberships
+    (T, M), whose rows sum to 1."""
+    logb = log_component_densities(tag, data) + np.log(tag.weights)
+    frame_ll = _logsumexp(logb)
+    return frame_ll, np.exp(logb - frame_ll[:, None])
 
 
 def _farthest_point_init(data: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,7 +149,7 @@ def _farthest_point_init(data: np.ndarray, m: int, rng: np.random.Generator) -> 
 
 def em_fit(data, num_components: int = DEFAULT_MIXTURES, *, max_iters: int = DEFAULT_MAX_ITERS,
            tol: float = DEFAULT_TOL, variance_floor: float = DEFAULT_VARIANCE_FLOOR,
-           seed: int = 0, label: tuple = ("", "")) -> GmmTag:
+           seed: int = 0) -> GmmTag:
     """Train a diagonal GMM by expectation-maximization.
 
     Stops when the per-frame average log-likelihood improves by less than
@@ -174,20 +171,17 @@ def em_fit(data, num_components: int = DEFAULT_MIXTURES, *, max_iters: int = DEF
     variances = np.tile(global_var, (num_components, 1))
     weights = np.full(num_components, 1.0 / num_components)
 
-    tag = GmmTag(weights=weights, means=means, variances=variances, label=label)
+    tag = GmmTag(weights=weights, means=means, variances=variances)
     history = []
     floor_iters = []
     starvation_events = []
 
     for it in range(max_iters):
-        logb = log_component_densities(tag, data) + np.log(tag.weights)
-        frame_ll = _logsumexp(logb)
+        frame_ll, resp = _e_step(tag, data)
         avg_ll = float(np.mean(frame_ll))
         history.append(avg_ll)
         if len(history) > 1 and history[-1] - history[-2] < tol:
             break
-
-        resp = np.exp(logb - frame_ll[:, None])
         nk = resp.sum(axis=0)
 
         starved = np.nonzero(nk < 1e-8)[0]
@@ -198,9 +192,7 @@ def em_fit(data, num_components: int = DEFAULT_MIXTURES, *, max_iters: int = DEF
                 tag.variances[comp] = np.maximum(global_var, variance_floor)
                 starvation_events.append({"iteration": it, "component": int(comp)})
             # redo the E-step with the repaired components
-            logb = log_component_densities(tag, data) + np.log(tag.weights)
-            frame_ll = _logsumexp(logb)
-            resp = np.exp(logb - frame_ll[:, None])
+            frame_ll, resp = _e_step(tag, data)
             nk = resp.sum(axis=0)
 
         tag.weights = nk / t
@@ -235,16 +227,21 @@ def score_utterance(tag: GmmTag, features) -> float:
 
 @dataclass
 class TagStore:
-    """All trained tags, keyed by (speaker_id, emotion_id), with rosters.
+    """All trained tags as stacked arrays, with rosters.
 
-    On construction every tag's components are stacked for
-    ``frame_scores``, component-major: row j*K + k is component j of tag k
-    in roster order. A store's tags are not to be changed afterwards.
+    Row k of weights, means and variances (and entry k of train_meta) is the
+    tag of speaker k // E and emotion k % E, E being the emotion count: the
+    (speaker roster x emotion roster) order. On construction the scoring
+    terms of ``frame_scores`` are derived, component-major: row j*K + k is
+    component j of tag k. A store's arrays are not to be changed afterwards.
     """
 
-    tags: dict  # (speaker_id, emotion_id) -> GmmTag
     speaker_roster: list
     emotion_roster: list
+    weights: np.ndarray  # (K, M)
+    means: np.ndarray  # (K, M, D)
+    variances: np.ndarray  # (K, M, D), floored
+    train_meta: list  # K dicts
     _inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K, D) 1/var
     _mean_inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K, D) mean/var
     _mean2_inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
@@ -252,35 +249,23 @@ class TagStore:
     _log_w: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
 
     def __post_init__(self):
-        if not self.speaker_roster or not self.emotion_roster:
-            raise DimensionError("empty tag store")
-        for spk in self.speaker_roster:
-            for emo in self.emotion_roster:
-                if (spk, emo) not in self.tags:
-                    raise DimensionError(f"missing tag for ({spk}, {emo})")
-        dims = {tag.dim for tag in self.tags.values()}
-        if len(dims) > 1:
-            raise DimensionError(f"tags disagree on feature dim: {sorted(dims)}")
-        ordered = self.ordered_tags()
-        sizes = {tag.num_components for tag in ordered}
-        if len(sizes) > 1:
-            raise DimensionError(f"tags disagree on component count: {sorted(sizes)}")
-        terms = [(*_component_terms(tag), np.log(tag.weights)) for tag in ordered]
-        stacked = [np.stack(parts, axis=1) for parts in zip(*terms)]  # (M, K, ...)
-        self._inv, self._mean_inv = (t.reshape(-1, self.dim) for t in stacked[:2])
-        self._mean2_inv, self._const, self._log_w = (t.ravel() for t in stacked[2:])
+        k = len(self.speaker_roster) * len(self.emotion_roster)
+        shape = self.means.shape
+        if (len(shape) != 3 or shape[0] != k or min(shape) < 1
+                or self.weights.shape != shape[:2] or self.variances.shape != shape
+                or len(self.train_meta) != k):
+            raise DimensionError(f"{k} tags; array shapes {self.weights.shape}, {shape}, "
+                                 f"{self.variances.shape}; {len(self.train_meta)} records")
+        terms = (*_component_terms(self.means, self.variances), np.log(self.weights))
+        self._inv, self._mean_inv = (t.swapaxes(0, 1).reshape(-1, self.dim) for t in terms[:2])
+        self._mean2_inv, self._const, self._log_w = (t.T.ravel() for t in terms[2:])
 
     def __len__(self) -> int:
-        return len(self.speaker_roster) * len(self.emotion_roster)
+        return self.means.shape[0]
 
     @property
     def dim(self) -> int:
-        return next(iter(self.tags.values())).dim
-
-    def ordered_tags(self):
-        """Tags in (speaker roster x emotion roster) order."""
-        return [self.tags[(spk, emo)]
-                for spk in self.speaker_roster for emo in self.emotion_roster]
+        return self.means.shape[2]
 
 
 def frame_scores(store: TagStore, features) -> np.ndarray:

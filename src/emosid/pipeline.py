@@ -15,7 +15,7 @@ from . import evaluation as eval_mod
 from . import features as feat_mod
 from . import gmm as gmm_mod
 from .corpus import Manifest, interference_clip
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .evaluation import TrialRecord
 from .features import FeatureMatrix
 from .gmm import TagStore
@@ -59,7 +59,15 @@ class PipelineConfig:
     snr_mode: str = "power"
 
     def __post_init__(self):
-        # a bad segmentation or training value fails here, not after EM
+        # a bad front-end, segmentation or training value fails here, not
+        # after reading audio or training
+        if self.target_rate_hz < 1000:
+            raise ConfigError(f"target rate {self.target_rate_hz} below 1000 Hz")
+        if not 0.0 <= self.pre_emphasis < 1.0:
+            raise ConfigError(f"pre-emphasis {self.pre_emphasis} outside [0, 1)")
+        if not 0 < self.hop_ms <= self.frame_ms:
+            raise ConfigError(f"bad framing: frame_ms={self.frame_ms}, hop_ms={self.hop_ms}")
+        build_bank(self)
         self.segment_plan()
         self.train_config()
 
@@ -150,7 +158,7 @@ def train_tags(manifest: Manifest, cfg: PipelineConfig, train=None) -> TagStore:
     """
     if train is None:
         train = train_features(manifest, cfg)
-    tags = {}
+    tags = []
     for si, spk in enumerate(manifest.speaker_roster):
         for ei, emo in enumerate(manifest.emotion_roster):
             rows = [fm.data for e, fm in train if e.speaker_id == spk and e.emotion == emo]
@@ -160,11 +168,15 @@ def train_tags(manifest: Manifest, cfg: PipelineConfig, train=None) -> TagStore:
             data = np.concatenate(rows, axis=0)
             seed = int(np.random.SeedSequence(
                 (cfg.seed, 5, si, ei)).generate_state(1)[0])
-            tags[(spk, emo)] = gmm_mod.em_fit(
+            tags.append(gmm_mod.em_fit(
                 data, cfg.mixtures, max_iters=cfg.gmm_max_iters, tol=cfg.gmm_tol,
-                variance_floor=cfg.variance_floor, seed=seed, label=(spk, emo))
-    return TagStore(tags=tags, speaker_roster=list(manifest.speaker_roster),
-                    emotion_roster=list(manifest.emotion_roster))
+                variance_floor=cfg.variance_floor, seed=seed))
+    return TagStore(speaker_roster=list(manifest.speaker_roster),
+                    emotion_roster=list(manifest.emotion_roster),
+                    weights=np.stack([t.weights for t in tags]),
+                    means=np.stack([t.means for t in tags]),
+                    variances=np.stack([t.variances for t in tags]),
+                    train_meta=[t.train_meta for t in tags])
 
 
 def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:

@@ -13,7 +13,9 @@ from emosid.cascade import (
 from emosid.dnn import TrainConfig, init_model, train
 from emosid.errors import ConfigError, DimensionError, EmptyUtteranceError
 from emosid.features import FeatureMatrix
-from emosid.gmm import GmmTag, TagStore, em_fit, gmm_identify, score_utterance
+from emosid.gmm import GmmTag, em_fit, gmm_identify, score_utterance
+
+from conftest import stack_tags, tag_at
 
 
 def fm(n, d=4, rng=None):
@@ -23,17 +25,15 @@ def fm(n, d=4, rng=None):
 
 
 def toy_store(rng, speakers=("a", "b", "c"), emotions=("neutral", "happy")):
-    tags = {}
+    tags = []
     for spk in speakers:
         mu = rng.standard_normal((2, 4)) * 3
         for emo in emotions:
-            tags[(spk, emo)] = GmmTag(
+            tags.append(GmmTag(
                 weights=np.array([0.5, 0.5]),
                 means=mu + rng.standard_normal((2, 4)) * 0.1,
-                variances=rng.uniform(0.5, 2.0, (2, 4)),
-                label=(spk, emo))
-    return TagStore(tags=tags, speaker_roster=list(speakers),
-                    emotion_roster=list(emotions))
+                variances=rng.uniform(0.5, 2.0, (2, 4))))
+    return stack_tags(tags, speakers, emotions)
 
 
 class TestSegmentPlan:
@@ -79,15 +79,13 @@ class TestLikelihoodVector:
         seg = fm(20, rng=rng)
         lv = likelihood_vectors(store, seg, [(0, 20)])
         assert lv.shape == (1, 6)
-        expected = [score_utterance(store.tags[(spk, emo)], seg)
-                    for spk in store.speaker_roster for emo in store.emotion_roster]
+        expected = [score_utterance(tag_at(store, k), seg) for k in range(6)]
         np.testing.assert_allclose(lv[0], expected, rtol=0, atol=0)
 
     def test_identical_tags_identical_entries(self, rng):
         tag = GmmTag(weights=np.array([1.0]), means=np.zeros((1, 4)),
                      variances=np.ones((1, 4)))
-        store = TagStore(tags={("a", "n"): tag, ("b", "n"): tag},
-                         speaker_roster=["a", "b"], emotion_roster=["n"])
+        store = stack_tags([tag, tag], ["a", "b"], ["n"])
         lv = likelihood_vectors(store, fm(10, rng=rng), [(0, 10)])
         assert lv[0, 0] == lv[0, 1]
 
@@ -111,21 +109,21 @@ class TestLikelihoodVector:
 def em_store(rng, num_speakers=3, num_emotions=2, duplicate=False):
     """Tags trained by EM (M=8, D=13); with duplicate, the first two
     speakers share identical tags and each tag repeats one component."""
-    tags = {}
+    tags = []
     speakers = [f"s{k}" for k in range(num_speakers)]
     emotions = [f"e{k}" for k in range(num_emotions)]
-    for si, spk in enumerate(speakers):
-        for ei, emo in enumerate(emotions):
+    for si in range(num_speakers):
+        for ei in range(num_emotions):
             data = rng.standard_normal((400, 13)) * rng.uniform(0.5, 2.0, 13) \
                 + rng.standard_normal(13) * 2.0
-            tag = em_fit(data, 8, max_iters=20, seed=10 * si + ei, label=(spk, emo))
+            tag = em_fit(data, 8, max_iters=20, seed=10 * si + ei)
             if duplicate:
                 tag.means[1], tag.variances[1] = tag.means[0], tag.variances[0]
                 tag.weights[1] = tag.weights[0]
                 if si == 1:
-                    tag = tags[("s0", emo)]
-            tags[(spk, emo)] = tag
-    return TagStore(tags=tags, speaker_roster=speakers, emotion_roster=emotions)
+                    tag = tags[ei]
+            tags.append(tag)
+    return stack_tags(tags, speakers, emotions)
 
 
 class TestScoreMatrix:
@@ -142,14 +140,15 @@ class TestScoreMatrix:
             features = FeatureMatrix(rng.standard_normal((n, 13)) * 1.5)
             spans = segment(features, plan)
             lv = likelihood_vectors(store, features, spans)
-            expected = [[score_utterance(tag, features.data[a:b])
-                         for tag in store.ordered_tags()] for a, b in spans]
+            expected = [[score_utterance(tag_at(store, k), features.data[a:b])
+                         for k in range(len(store))] for a, b in spans]
             np.testing.assert_allclose(lv, expected, rtol=0, atol=1e-9)
 
             best, table = gmm_identify(store, features)
-            whole = {spk: max(score_utterance(store.tags[(spk, emo)], features)
-                              for emo in store.emotion_roster)
-                     for spk in store.speaker_roster}
+            e = len(store.emotion_roster)
+            whole = {spk: max(score_utterance(tag_at(store, si * e + ei), features)
+                              for ei in range(e))
+                     for si, spk in enumerate(store.speaker_roster)}
             np.testing.assert_allclose([table["scores"][s] for s in store.speaker_roster],
                                        [whole[s] for s in store.speaker_roster],
                                        rtol=0, atol=1e-9)
@@ -295,7 +294,7 @@ def test_trained_cascade_beats_chance(rng):
     # training vectors: frames drawn from each speaker's own neutral tag
     xs, ys = [], []
     for k, spk in enumerate(store.speaker_roster):
-        tag = store.tags[(spk, "neutral")]
+        tag = tag_at(store, 2 * k)  # the speaker's neutral tag
         for _ in range(30):
             comp = rng.integers(0, 2, 20)
             frames = tag.means[comp] + rng.standard_normal((20, 4)) * np.sqrt(
@@ -311,7 +310,7 @@ def test_trained_cascade_beats_chance(rng):
     trials = 30
     for t in range(trials):
         k = t % 3
-        tag = store.tags[(store.speaker_roster[k], "neutral")]
+        tag = tag_at(store, 2 * k)
         comp = rng.integers(0, 2, 20)
         frames = tag.means[comp] + rng.standard_normal((20, 4)) * np.sqrt(
             tag.variances[comp])

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emosid import dnn, pipeline
+from emosid import audio, containers, dnn, pipeline
 from emosid.cli import main
+
+from conftest import v1_tag_store
 
 
 def run(capsys, *argv):
@@ -229,3 +231,42 @@ class TestTypedFailures:
                            "--tags", str(model_dir / "tags.sidtags"),
                            "--dnn", str(model_dir / "cascade.siddnn"))
         assert code == 2 and "non-finite" in err
+
+    @pytest.mark.parametrize("flags", [["--pre-emphasis", "1.5"],
+                                       ["--frame-ms", "10", "--hop-ms", "20"]],
+                             ids=["pre-emphasis", "framing"])
+    def test_bad_front_end_exit_1_before_reading_audio(self, manifest_path, tmp_path,
+                                                       capsys, monkeypatch, flags):
+        def no_audio(*args, **kwargs):
+            raise AssertionError("read audio with a bad config")
+
+        monkeypatch.setattr(audio, "load_wav", no_audio)
+        code, _, err = run(capsys, "extract", "--manifest", manifest_path,
+                           "--out", str(tmp_path / "f"), *flags)
+        assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("values", [{"epochs": "5"}, {"mixtures": "8"},
+                                        {"mixtures": 8.0}, {"standardize_inputs": 1},
+                                        {"hidden_sizes": ["128"]}, {"learning_rate": True}],
+                             ids=json.dumps)
+    def test_config_file_wrong_type_exit_1(self, manifest_path, tmp_path, capsys,
+                                           monkeypatch, values):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a bad config")
+
+        monkeypatch.setattr(pipeline, "train_models", no_training)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        code, _, err = run(capsys, "train", "--manifest", manifest_path,
+                           "--out", str(tmp_path / "x"), "--config", str(cfg_path))
+        assert code == 1 and err.startswith("error:") and next(iter(values)) in err
+
+    def test_version_1_tag_store_identify_exit_2(self, corpus_dir, model_dir, tmp_path,
+                                                 capsys):
+        store = containers.load_tag_store((model_dir / "tags.sidtags").read_bytes())
+        old = tmp_path / "old.sidtags"
+        old.write_bytes(v1_tag_store(store))
+        wav = sorted(corpus_dir.glob("spk00_neutral_s2_*.wav"))[0]
+        code, _, err = run(capsys, "identify", "--wav", str(wav), "--tags", str(old),
+                           "--dnn", str(model_dir / "cascade.siddnn"))
+        assert code == 2 and "version 1" in err

@@ -5,10 +5,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emosid.containers import (
     DNN_MAGIC,
     FEATURE_MAGIC,
+    FORMAT_VERSION,
     load_dnn,
     load_features,
     load_tag_store,
@@ -17,24 +20,20 @@ from emosid.containers import (
     save_tag_store,
 )
 from emosid.dnn import TrainConfig, init_model, train
-from emosid.errors import ContainerError, VersionError
+from emosid.errors import ContainerError, EmosidError, VersionError
 from emosid.features import FeatureMatrix
-from emosid.gmm import GmmTag, TagStore
+from emosid.gmm import TagStore
+
+from conftest import v1_tag_store
 
 
 @pytest.fixture
 def store(rng):
-    tags = {}
-    for spk in ("a", "b"):
-        for emo in ("neutral", "happy"):
-            tags[(spk, emo)] = GmmTag(
-                weights=np.array([0.25, 0.75]),
-                means=rng.standard_normal((2, 3)),
-                variances=rng.uniform(0.5, 2.0, (2, 3)),
-                label=(spk, emo),
-                train_meta={"seed": 1, "iterations": 5})
-    return TagStore(tags=tags, speaker_roster=["a", "b"],
-                    emotion_roster=["neutral", "happy"])
+    return TagStore(speaker_roster=["a", "b"], emotion_roster=["neutral", "happy"],
+                    weights=np.tile([0.25, 0.75], (4, 1)),
+                    means=rng.standard_normal((4, 2, 3)),
+                    variances=rng.uniform(0.5, 2.0, (4, 2, 3)),
+                    train_meta=[{"seed": k, "iterations": 5} for k in range(4)])
 
 
 class TestFeatures:
@@ -68,11 +67,11 @@ class TestFeatures:
     def test_future_version_names_both(self, rng):
         blob = bytearray(save_features(FeatureMatrix(data=np.zeros((1, 1)))))
         blob[8:12] = struct.pack("<I", 99)
-        with pytest.raises(VersionError, match="99.*1"):
+        with pytest.raises(VersionError, match="99.*2"):
             load_features(bytes(blob))
 
     def test_corrupt_header(self):
-        blob = FEATURE_MAGIC + struct.pack("<II", 1, 4) + b"{bad"
+        blob = FEATURE_MAGIC + struct.pack("<II", FORMAT_VERSION, 4) + b"{bad"
         with pytest.raises(ContainerError):
             load_features(blob)
 
@@ -82,16 +81,21 @@ class TestTagStore:
         back = load_tag_store(save_tag_store(store))
         assert back.speaker_roster == store.speaker_roster
         assert back.emotion_roster == store.emotion_roster
-        for key, tag in store.tags.items():
-            np.testing.assert_array_equal(back.tags[key].weights, tag.weights)
-            np.testing.assert_array_equal(back.tags[key].means, tag.means)
-            np.testing.assert_array_equal(back.tags[key].variances, tag.variances)
-            assert back.tags[key].train_meta == tag.train_meta
+        np.testing.assert_array_equal(back.weights, store.weights)
+        np.testing.assert_array_equal(back.means, store.means)
+        np.testing.assert_array_equal(back.variances, store.variances)
+        assert back.train_meta == store.train_meta
 
     def test_double_roundtrip_stable(self, store):
         once = save_tag_store(store)
         twice = save_tag_store(load_tag_store(once))
         assert once == twice
+
+    def test_v1_container_is_a_version_error(self, store):
+        """The version-1 layout (one header record and three arrays per tag)
+        is refused, not misread."""
+        with pytest.raises(VersionError, match="version 1"):
+            load_tag_store(v1_tag_store(store))
 
 
 class TestDnn:
@@ -136,19 +140,13 @@ def _set(key, value):
     return lambda h: {**h, key: value}
 
 
-def _first_tag(change):
-    return lambda h: {**h, "tags": [change(h["tags"][0])] + h["tags"][1:]}
-
-
 def _valid_blob(kind):
     if kind == "features":
         return save_features(FeatureMatrix(data=np.ones((3, 2)), meta={"frame_ms": 25.0}))
-    if kind == "tags":
-        tags = {(spk, "n"): GmmTag(weights=np.array([1.0]), means=np.zeros((1, 2)),
-                                   variances=np.ones((1, 2)), label=(spk, "n"))
-                for spk in ("a", "b")}
-        return save_tag_store(TagStore(tags=tags, speaker_roster=["a", "b"],
-                                       emotion_roster=["n"]))
+    if kind == "tags":  # K=2 tags, M=1, D=2: a payload of 10 values
+        return save_tag_store(TagStore(
+            speaker_roster=["a", "b"], emotion_roster=["n"], weights=np.ones((2, 1)),
+            means=np.zeros((2, 1, 2)), variances=np.ones((2, 1, 2)), train_meta=[{}, {}]))
     return save_dnn(init_model(3, (4,), 2, seed=0,
                                input_standardization=(np.zeros(3), np.ones(3))))
 
@@ -164,18 +162,19 @@ _SCHEMA_FAULTS = {
     "features-shape-float": ("features", _set("shape", [3.0, 2])),
     "features-meta-list": ("features", _set("meta", [1, 2])),
     "features-header-list": ("features", lambda h: [h]),
-    "tags-no-tags": ("tags", _drop("tags")),
+    "tags-no-tags": ("tags", lambda h: _drop("shape")(_drop("train_meta")(h))),
     "tags-no-speaker-roster": ("tags", _drop("speaker_roster")),
     "tags-no-emotion-roster": ("tags", _drop("emotion_roster")),
     "tags-roster-int": ("tags", _set("speaker_roster", 5)),
-    "tags-tags-dict": ("tags", _set("tags", {"a": 1})),
-    "tags-tag-no-dim": ("tags", _first_tag(_drop("dim"))),
-    "tags-tag-no-label": ("tags", _first_tag(_drop("label"))),
-    "tags-tag-no-components": ("tags", _first_tag(_drop("num_components"))),
-    "tags-tag-no-train-meta": ("tags", _first_tag(_drop("train_meta"))),
-    "tags-tag-components-str": ("tags", _first_tag(_set("num_components", "1"))),
-    "tags-tag-label-str": ("tags", _first_tag(_set("label", "a"))),
-    "tags-tag-dim-mismatch": ("tags", _first_tag(_set("dim", 1))),
+    "tags-shape-huge": ("tags", _set("shape", [2**70, 1, 2])),
+    "tags-no-shape": ("tags", _drop("shape")),
+    "tags-shape-str": ("tags", _set("shape", "x")),
+    "tags-shape-2d": ("tags", _set("shape", [2, 5])),
+    "tags-shape-not-rosters": ("tags", _set("shape", [1, 2, 2])),  # also 10 values
+    "tags-no-train-meta": ("tags", _drop("train_meta")),
+    "tags-train-meta-dict": ("tags", _set("train_meta", {"a": {}, "b": {}})),
+    "tags-train-meta-short": ("tags", _set("train_meta", [{}])),
+    "tags-train-meta-long": ("tags", _set("train_meta", [{}, {}, {}])),
     "tags-header-list": ("tags", lambda h: [h]),
     "dnn-no-layer-shapes": ("dnn", _drop("layer_shapes")),
     "dnn-no-standardized": ("dnn", _drop("standardized")),
@@ -196,3 +195,46 @@ def test_header_schema_faults_are_container_errors(case):
     _LOADERS[kind](blob)  # the untouched container loads
     with pytest.raises(ContainerError):
         _LOADERS[kind](_rewrite_header(blob, change))
+
+
+@pytest.mark.parametrize("kind, value", [("features", -np.inf), ("tags", np.nan),
+                                         ("dnn", np.inf)])
+def test_non_finite_payload_value_refused(kind, value):
+    """The last payload value (a feature, a tag variance, an output bias)
+    made non-finite."""
+    blob = _valid_blob(kind)
+    _LOADERS[kind](blob)
+    with pytest.raises(ContainerError, match="non-finite"):
+        _LOADERS[kind](blob[:-8] + struct.pack("<d", value))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+_HEADER_KEYS = ["meta", "shape", "speaker_roster", "emotion_roster", "train_meta",
+                "layer_shapes", "standardized"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_LOADERS)),
+       header=st.dictionaries(st.sampled_from(_HEADER_KEYS), _JSON, max_size=2),
+       raw=st.none() | st.binary(max_size=120),
+       edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=6),
+       cut=st.none() | st.integers(0, 2**16))
+def test_fuzzed_containers_raise_only_emosid_errors(kind, header, raw, edits, cut):
+    """A valid container with header values replaced by random JSON, or with
+    random bytes after its magic and version, then with bytes overwritten and
+    the end cut off, either loads or raises an EmosidError."""
+    valid = _rewrite_header(_valid_blob(kind), lambda h: {**h, **header})
+    blob = bytearray(valid if raw is None else valid[:12] + raw)
+    for pos, byte in edits:
+        if blob:
+            blob[pos % len(blob)] = byte
+    if cut is not None:
+        del blob[cut % (len(blob) + 1):]
+    try:
+        _LOADERS[kind](bytes(blob))
+    except EmosidError:
+        pass

@@ -9,21 +9,22 @@ from emosid.features import FeatureMatrix
 from emosid.gmm import (
     GmmTag,
     TagStore,
+    _e_step,
     _logsumexp,
     em_fit,
     gmm_identify,
     log_component_densities,
     log_mixture_density,
-    responsibilities,
     score_utterance,
 )
 
+from conftest import stack_tags
 
-def make_tag(weights, means, variances, label=("s", "e")):
+
+def make_tag(weights, means, variances):
     return GmmTag(weights=np.asarray(weights, float),
                   means=np.atleast_2d(np.asarray(means, float)),
-                  variances=np.atleast_2d(np.asarray(variances, float)),
-                  label=label)
+                  variances=np.atleast_2d(np.asarray(variances, float)))
 
 
 def direct_mixture_density(tag, x):
@@ -133,26 +134,30 @@ class TestMixtureDensity:
 
 
 class TestResponsibilities:
+    """The posterior component memberships of EM's E-step."""
+
     def test_symmetric_half_half(self):
         tag = make_tag([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
-        r = responsibilities(tag, np.array([0.0]))
-        np.testing.assert_allclose(r, [0.5, 0.5], atol=1e-12)
+        _, r = _e_step(tag, np.array([[0.0]]))
+        np.testing.assert_allclose(r[0], [0.5, 0.5], atol=1e-12)
 
     def test_single_component(self):
         tag = make_tag([1.0], [[0.0]], [[1.0]])
-        np.testing.assert_allclose(responsibilities(tag, np.array([3.0])), [1.0])
+        np.testing.assert_allclose(_e_step(tag, np.array([[3.0]]))[1][0], [1.0])
 
     def test_far_point_dominated(self):
         tag = make_tag([0.5, 0.5], [[0.0], [10.0]], [[1.0], [1.0]])
-        r = responsibilities(tag, np.array([10.0]))
-        assert r[1] >= 1.0 - 1e-20
+        _, r = _e_step(tag, np.array([[10.0]]))
+        assert r[0, 1] >= 1.0 - 1e-20
 
     def test_rows_sum_to_one(self, rng):
         tag = make_tag(np.full(4, 0.25), rng.standard_normal((4, 3)),
                        rng.uniform(0.5, 2, (4, 3)))
-        r = responsibilities(tag, rng.standard_normal((50, 3)))
+        x = rng.standard_normal((50, 3))
+        frame_ll, r = _e_step(tag, x)
         np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(r >= 0)
+        np.testing.assert_array_equal(frame_ll, log_mixture_density(tag, x))
 
 
 class TestEmFit:
@@ -238,14 +243,12 @@ class TestScoreUtterance:
 
 
 def _toy_store(rng, speakers=("a", "b"), emotions=("neutral", "happy"), identical=False):
-    tags = {}
+    tags = []
     base = make_tag([1.0], rng.standard_normal((1, 2)), [[1.0, 1.0]])
     for spk in speakers:
         mu = base.means if identical else rng.standard_normal((1, 2)) * 4
-        for emo in emotions:
-            tags[(spk, emo)] = make_tag([1.0], mu, [[1.0, 1.0]], label=(spk, emo))
-    return TagStore(tags=tags, speaker_roster=list(speakers),
-                    emotion_roster=list(emotions))
+        tags += [make_tag([1.0], mu, [[1.0, 1.0]]) for emo in emotions]
+    return stack_tags(tags, speakers, emotions)
 
 
 class TestGmmIdentify:
@@ -260,13 +263,8 @@ class TestGmmIdentify:
         assert best == "a" and table["tie"]
 
     def test_picks_closest_speaker(self, rng):
-        tags = {}
-        for spk, center in (("near", 0.0), ("far", 8.0)):
-            for emo in ("neutral",):
-                tags[(spk, emo)] = make_tag([1.0], [[center, center]], [[1.0, 1.0]],
-                                            label=(spk, emo))
-        store = TagStore(tags=tags, speaker_roster=["near", "far"],
-                         emotion_roster=["neutral"])
+        tags = [make_tag([1.0], [[center, center]], [[1.0, 1.0]]) for center in (0.0, 8.0)]
+        store = stack_tags(tags, ["near", "far"], ["neutral"])
         best, _ = gmm_identify(store, rng.standard_normal((30, 2)) * 0.1)
         assert best == "near"
 
@@ -276,7 +274,24 @@ class TestGmmIdentify:
             gmm_identify(store, rng.standard_normal((5, 7)))
 
     def test_store_requires_full_grid(self, rng):
-        tags = {("a", "neutral"): make_tag([1.0], [[0.0]], [[1.0]])}
+        tag = make_tag([1.0], [[0.0]], [[1.0]])
         with pytest.raises(DimensionError):
-            TagStore(tags=tags, speaker_roster=["a"],
-                     emotion_roster=["neutral", "happy"])
+            stack_tags([tag], ["a"], ["neutral", "happy"])
+        with pytest.raises(DimensionError):  # no tags at all
+            TagStore(speaker_roster=["a"], emotion_roster=[], weights=np.ones((0, 1)),
+                     means=np.zeros((0, 1, 1)), variances=np.ones((0, 1, 1)), train_meta=[])
+
+    def test_store_arrays_must_agree(self, rng):
+        """One shape check covers the per-tag faults a dict of tags allowed:
+        tags of another feature dim or component count, or missing records."""
+        good = [make_tag([0.5, 0.5], np.zeros((2, 3)), np.ones((2, 3)))] * 2
+        store = stack_tags(good, ["a", "b"], ["n"])
+        cases = [dict(means=np.zeros((2, 2, 2))), dict(variances=np.ones((2, 2, 4))),
+                 dict(weights=np.full((2, 3), 0.5)), dict(means=np.zeros((2, 3))),
+                 dict(train_meta=[{}])]
+        for change in cases:
+            arrays = dict(weights=store.weights, means=store.means,
+                          variances=store.variances, train_meta=store.train_meta)
+            with pytest.raises(DimensionError):
+                TagStore(speaker_roster=["a", "b"], emotion_roster=["n"],
+                         **{**arrays, **change})

@@ -43,7 +43,10 @@ def test_entry_features_are_the_front_end(tmp_path):
 
 @pytest.mark.parametrize("field, value", [("segment_overlap", 1.5), ("segment_frames", 0),
                                           ("epochs", 0), ("batch_size", 0),
-                                          ("learning_rate", 0.0), ("lr_decay", 1.5)])
+                                          ("learning_rate", 0.0), ("lr_decay", 1.5),
+                                          ("pre_emphasis", 1.5), ("hop_ms", 30.0),
+                                          ("frame_ms", 0.0), ("target_rate_hz", 500),
+                                          ("num_filters", 1), ("fft_size", 100)])
 def test_config_validated_at_construction(field, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{field: value})
