@@ -24,6 +24,7 @@ from .errors import (
 )
 
 DEFAULT_PRE_EMPHASIS = 0.97
+MIX_MODES = ("power", "amplitude")
 
 
 @dataclass(frozen=True)
@@ -168,16 +169,6 @@ def pre_emphasize(clip: AudioClip, alpha: float = DEFAULT_PRE_EMPHASIS) -> Audio
     return AudioClip(samples=y, sample_rate_hz=clip.sample_rate_hz, source_id=clip.source_id)
 
 
-def de_emphasize(clip: AudioClip, alpha: float) -> AudioClip:
-    """Inverse of pre_emphasize (for round-trip checks)."""
-    y = clip.samples
-    x = np.empty_like(y)
-    x[0] = y[0]
-    for n in range(1, len(y)):
-        x[n] = y[n] + alpha * x[n - 1]
-    return AudioClip(samples=x, sample_rate_hz=clip.sample_rate_hz, source_id=clip.source_id)
-
-
 def hamming_window(length: int) -> np.ndarray:
     if length == 1:
         return np.ones(1)
@@ -228,7 +219,7 @@ def mix_interference(clip: AudioClip, noise: AudioClip, power_ratio: float,
             f"clip at {clip.sample_rate_hz} Hz vs noise at {noise.sample_rate_hz} Hz")
     if power_ratio <= 0:
         raise ValueError(f"power_ratio must be positive, got {power_ratio}")
-    if mode not in ("power", "amplitude"):
+    if mode not in MIX_MODES:
         raise ValueError(f"unknown mix mode {mode!r}")
 
     x = clip.samples

@@ -24,6 +24,7 @@ from .gmm import TagStore
 
 DEFAULT_SEGMENT_FRAMES = 100
 DEFAULT_SEGMENT_OVERLAP = 0.5
+AGGREGATIONS = ("mean", "geometric")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Subcommands: synth, validate-manifest, extract, train-gmm, train,
 identify, evaluate. Exit codes: 0 ok, 1 input error, 2 runtime
-failure. Flag > config file > default precedence; the effective config is
-echoed into every report.
+failure. Flag > config file > default precedence, except that identify and
+evaluate run the front end recorded in the tag store; the effective config
+is echoed into every report.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,70 +26,63 @@ from .corpus import SynthSpec, generate_synthetic, load_manifest, protocol_count
 from .errors import ConfigError, EmosidError, ValidationError
 from .pipeline import PipelineConfig
 
-_CONFIG_FLAGS = {
-    "pre_emphasis": float, "frame_ms": float, "hop_ms": float,
-    "target_rate_hz": int, "num_filters": int, "num_coeffs": int,
-    "mixtures": int, "variance_floor": float,
-    "segment_frames": int, "segment_overlap": float,
-    "learning_rate": float, "epochs": int, "batch_size": int, "lr_decay": float,
-    "seed": int, "snr_ratio": float,
+def _sizes(text: str) -> tuple:
+    return tuple(int(s) for s in text.split(","))
+
+
+# config field -> argparse keywords; the flag is the field name in kebab case
+# unless "flag" says otherwise
+_FLAGS = {
+    "target_rate_hz": {"type": int}, "pre_emphasis": {"type": float},
+    "frame_ms": {"type": float}, "hop_ms": {"type": float},
+    "num_filters": {"type": int}, "num_coeffs": {"type": int},
+    "mixtures": {"type": int}, "variance_floor": {"type": float}, "seed": {"type": int},
+    "segment_frames": {"type": int}, "segment_overlap": {"type": float},
+    "learning_rate": {"type": float}, "epochs": {"type": int},
+    "batch_size": {"type": int}, "lr_decay": {"type": float},
+    "hidden_sizes": {"flag": "--hidden", "type": _sizes,
+                     "help": "comma-separated hidden layer sizes, e.g. 128,128,128,128"},
+    "standardize_inputs": {"flag": "--no-standardize", "action": "store_const",
+                           "const": False, "help": "feed raw likelihood vectors to the DNN"},
+    "snr_ratio": {"type": float}, "snr_mode": {"choices": audio_mod.MIX_MODES},
 }
+# the flags each subcommand reads; identify and evaluate take the front end
+# from the tag store
+_FRONT_END_FLAGS = ("target_rate_hz", "pre_emphasis", "frame_ms", "hop_ms",
+                    "num_filters", "num_coeffs")
+_TRAIN_GMM_FLAGS = _FRONT_END_FLAGS + ("mixtures", "variance_floor", "seed")
+_SEGMENT_FLAGS = ("segment_frames", "segment_overlap")
+_TRAIN_FLAGS = _TRAIN_GMM_FLAGS + _SEGMENT_FLAGS + (
+    "learning_rate", "epochs", "batch_size", "lr_decay", "hidden_sizes", "standardize_inputs")
+_EVALUATE_FLAGS = _SEGMENT_FLAGS + ("seed", "snr_ratio", "snr_mode")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
-    for name, typ in _CONFIG_FLAGS.items():
-        parser.add_argument("--" + name.replace("_", "-"), type=typ, default=None,
-                            dest=name)
-    parser.add_argument("--snr-mode", choices=["power", "amplitude"], default=None,
-                        dest="snr_mode")
-    parser.add_argument("--hidden", default=None,
-                        help="comma-separated hidden layer sizes, e.g. 128,128,128,128")
-    parser.add_argument("--no-standardize", action="store_true",
-                        help="feed raw likelihood vectors to the DNN")
+    for name in names:
+        kwargs = dict(_FLAGS[name])
+        flag = kwargs.pop("flag", "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, default=None, **kwargs)
 
 
-def _json_is(value, typ) -> bool:
-    """isinstance for a JSON value: 8 is a float, true is not a number."""
-    if isinstance(value, bool):
-        return typ is bool
-    return isinstance(value, (int, float) if typ is float else typ)
-
-
-def _check_config_types(file_cfg: dict) -> None:
-    """Reject config file values of the wrong JSON type; nothing is coerced."""
-    hints = typing.get_type_hints(PipelineConfig)
-    for name, value in file_cfg.items():
-        want = hints[name]
-        if want is tuple:  # hidden_sizes: a list of ints
-            ok = isinstance(value, list) and all(_json_is(v, int) for v in value)
-        else:
-            ok = any(_json_is(value, t) for t in typing.get_args(want) or (want,))
-        if not ok:
-            raise ConfigError(f"config key {name!r}: {value!r} is not {want}")
-
-
-def _build_config(args) -> PipelineConfig:
+def _build_config(args, front_end=None) -> PipelineConfig:
+    """Defaults, then the --config file, then flags, then front_end (the
+    settings a loaded tag store was trained under)."""
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         known = {f.name for f in dataclasses.fields(PipelineConfig)}
         unknown = set(file_cfg) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        _check_config_types(file_cfg)
+        pipeline.check_json_types(file_cfg)
         values.update(file_cfg)
-    for name in list(_CONFIG_FLAGS) + ["snr_mode"]:
-        v = getattr(args, name, None)
-        if v is not None:
-            values[name] = v
-    if getattr(args, "hidden", None):
-        values["hidden_sizes"] = tuple(int(s) for s in args.hidden.split(","))
-    elif "hidden_sizes" in values:
+    values.update((name, getattr(args, name)) for name in _FLAGS
+                  if getattr(args, name, None) is not None)
+    values.update(front_end or {})
+    if "hidden_sizes" in values:
         values["hidden_sizes"] = tuple(values["hidden_sizes"])
-    if getattr(args, "no_standardize", False):
-        values["standardize_inputs"] = False
     return PipelineConfig(**values)
 
 
@@ -186,8 +179,8 @@ def _load_models(args) -> pipeline.TrainedModels:
 
 
 def cmd_identify(args) -> int:
-    cfg = _build_config(args)
     models = _load_models(args)
+    cfg = _build_config(args, models.tag_store.front_end)
     clip = audio_mod.load_wav(args.wav)
     fm = pipeline.extract_features(clip, cfg)
     plan = cfg.segment_plan()
@@ -212,9 +205,9 @@ def cmd_identify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _build_config(args)
     manifest = load_manifest(args.manifest)
     models = _load_models(args)
+    cfg = _build_config(args, models.tag_store.front_end)
     modes = tuple(args.modes.split(",")) if args.modes else pipeline.MODES
     if "dnn" in modes and models.dnn_only is None:
         raise ValidationError("--dnn-only model required for mode 'dnn'")
@@ -268,14 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, _FRONT_END_FLAGS)
     p.set_defaults(func=cmd_extract)
 
-    for name, kwargs in [("train", {}), ("train-gmm", {"gmm_only": True})]:
+    for name, flags, kwargs in [("train", _TRAIN_FLAGS, {}),
+                                ("train-gmm", _TRAIN_GMM_FLAGS, {"gmm_only": True})]:
         p = sub.add_parser(name, help=f"{name} on the manifest's train split")
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True)
-        _add_config_flags(p)
+        _add_config_flags(p, flags)
         p.set_defaults(func=lambda a, kw=kwargs: cmd_train(a, **kw))
 
     p = sub.add_parser("identify", help="classify one WAV file")
@@ -284,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dnn", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--binary-mask", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, _SEGMENT_FLAGS)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("evaluate", help="run the test split through the classifiers")
@@ -297,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also evaluate with interference mixed at --snr-ratio")
     p.add_argument("--out", default=None)
     p.add_argument("--text", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, _EVALUATE_FLAGS)
     p.set_defaults(func=cmd_evaluate)
 
     return parser

@@ -5,8 +5,9 @@ version, a JSON header (describing metadata and array shapes), then the
 arrays themselves as row-major little-endian float64, all finite. Round
 trips are bit-exact. A tag store is three arrays, weights (K, M), means
 (K, M, D) and variances (K, M, D), tag k in (speaker x emotion) roster
-order; its header holds the rosters, the shape [K, M, D] and one
-train_meta record per tag.
+order; its header holds the rosters, the shape [K, M, D], one
+train_meta record per tag and the front end (pipeline.FRONT_END settings)
+the tags were trained under.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ import struct
 import numpy as np
 
 from .dnn import DnnModel
-from .errors import ContainerError, DimensionError, VersionError
+from .errors import ConfigError, ContainerError, DimensionError, ValidationError, \
+    VersionError
 from .features import FeatureMatrix
 from .gmm import TagStore
+from .pipeline import FRONT_END, PipelineConfig, check_json_types
 
 FEATURE_MAGIC = b"SIDFEAT\0"
 TAGS_MAGIC = b"SIDTAGS\0"
 DNN_MAGIC = b"SIDDNN\0\0"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _pack(magic: bytes, header: dict, arrays) -> bytes:
@@ -53,13 +56,14 @@ def _unpack(magic: bytes, blob: bytes):
 
 def _schema_checked(loader):
     """Header schema faults (a missing key, a wrongly typed or shaped value, an
-    inconsistent tag store) end in ContainerError like any corrupt container."""
+    inconsistent or invalid tag store or front end) end in ContainerError like
+    any corrupt container."""
     @functools.wraps(loader)
     def checked(blob: bytes):
         try:
             return loader(blob)
         except (KeyError, IndexError, TypeError, ValueError, OverflowError,
-                DimensionError) as exc:
+                DimensionError, ValidationError, ConfigError) as exc:
             raise ContainerError(f"bad header: {type(exc).__name__}: {exc}") from exc
     return checked
 
@@ -106,6 +110,7 @@ def save_tag_store(store: TagStore) -> bytes:
         "emotion_roster": list(store.emotion_roster),
         "shape": list(store.means.shape),
         "train_meta": store.train_meta,
+        "front_end": store.front_end,
     }
     return _pack(TAGS_MAGIC, header, [store.weights, store.means, store.variances])
 
@@ -115,12 +120,17 @@ def load_tag_store(blob: bytes) -> TagStore:
     header, payload = _unpack(TAGS_MAGIC, blob)
     if len(header["shape"]) != 3 or not isinstance(header["train_meta"], list):
         raise ContainerError("tag header needs a 3-D shape and a train_meta list")
+    front_end = header["front_end"]
+    if not isinstance(front_end, dict) or set(front_end) != set(FRONT_END):
+        raise ContainerError(f"tag header needs a front_end with exactly {FRONT_END}")
+    check_json_types(front_end)
+    PipelineConfig(**front_end)
     k, m, d = header["shape"]
     weights, means, variances = _take_arrays(payload, [(k, m), (k, m, d), (k, m, d)])
     return TagStore(speaker_roster=header["speaker_roster"],
                     emotion_roster=header["emotion_roster"],
                     weights=weights, means=means, variances=variances,
-                    train_meta=header["train_meta"])
+                    train_meta=header["train_meta"], front_end=front_end)
 
 
 # --- DNN model ---
@@ -145,11 +155,14 @@ def load_dnn(blob: bytes) -> DnnModel:
     header, payload = _unpack(DNN_MAGIC, blob)
     if not isinstance(header["standardized"], bool):
         raise ContainerError("'standardized' must be true or false")
+    layer_shapes = header["layer_shapes"]
+    if any(a[1] != b[0] for a, b in zip(layer_shapes, layer_shapes[1:])):
+        raise ContainerError(f"layer shapes {layer_shapes} do not chain")
     shapes = []
-    in_size = header["layer_shapes"][0][0]
+    in_size = layer_shapes[0][0]
     if header["standardized"]:
         shapes += [(in_size,), (in_size,)]
-    for shp in header["layer_shapes"]:
+    for shp in layer_shapes:
         shapes += [tuple(shp), (shp[1],)]
     arrays = _take_arrays(payload, shapes)
     standardization = tuple(arrays[:2]) if header["standardized"] else None

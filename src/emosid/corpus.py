@@ -11,6 +11,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -144,14 +145,9 @@ def protocol_counts(manifest: Manifest) -> dict:
         expected = (len(manifest.speaker_roster) * len(sentences) * len(reps)
                     * len(manifest.emotion_roster))
         present = {(e.speaker_id, e.emotion, e.sentence_id, e.repetition) for e in entries}
-        missing = []
-        if len(entries) != expected:
-            for spk in manifest.speaker_roster:
-                for emo in manifest.emotion_roster:
-                    for sent in sentences:
-                        for rep in reps:
-                            if (spk, emo, sent, rep) not in present:
-                                missing.append([spk, emo, sent, rep])
+        missing = [list(cell) for cell in itertools.product(
+            manifest.speaker_roster, manifest.emotion_roster, sentences, reps)
+            if cell not in present]
         summary["splits"][split] = len(entries)
         summary["factorial"][split] = {
             "expected": expected,

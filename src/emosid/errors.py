@@ -54,4 +54,4 @@ class DivergenceError(EmosidError):
 
 
 class ValidationError(EmosidError):
-    """Manifest failed validation; message lists offending entries."""
+    """A manifest or a model failed validation; message lists offending entries."""

@@ -44,11 +44,12 @@ def default_fft_size(frame_len: int) -> int:
 
 
 def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
-    """One-sided power spectral estimate |S(k)|^2 / fft_size, k = 0..fft_size/2."""
+    """One-sided power spectral estimate |S(k)|^2 / fft_size, k = 0..fft_size/2,
+    along the last axis (one frame, or a frame per row)."""
     _check_power_of_two(fft_size)
     frame = np.asarray(frame, dtype=np.float64)
-    if len(frame) > fft_size:
-        raise ConfigError(f"fft_size {fft_size} smaller than frame length {len(frame)}")
+    if frame.shape[-1] > fft_size:
+        raise ConfigError(f"fft_size {fft_size} smaller than frame length {frame.shape[-1]}")
     spec = np.fft.rfft(frame, n=fft_size)
     return (spec.real ** 2 + spec.imag ** 2) / fft_size
 
@@ -142,9 +143,7 @@ def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int = DEFAULT_NUM_CO
     if frames.empty:
         return FeatureMatrix(data=np.zeros((0, num_coeffs)), meta=base_meta)
 
-    spec = np.fft.rfft(frames.frames, n=bank.fft_size, axis=1)
-    power = (spec.real ** 2 + spec.imag ** 2) / bank.fft_size
-    energies = power @ bank.triangles.T
+    energies = power_spectrum(frames.frames, bank.fft_size) @ bank.triangles.T
     log_energies = np.log(np.maximum(energies, log_floor))
     coeffs = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, :num_coeffs]
     return FeatureMatrix(data=np.ascontiguousarray(coeffs), meta=base_meta)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, EmptyUtteranceError, InsufficientDataError
+from .errors import DimensionError, EmptyUtteranceError, InsufficientDataError, \
+    ValidationError
 from .features import FeatureMatrix
 
 DEFAULT_MIXTURES = 16
@@ -227,7 +228,8 @@ def score_utterance(tag: GmmTag, features) -> float:
 
 @dataclass
 class TagStore:
-    """All trained tags as stacked arrays, with rosters.
+    """All trained tags as stacked arrays, with rosters and the settings of
+    the front end whose features they were trained on.
 
     Row k of weights, means and variances (and entry k of train_meta) is the
     tag of speaker k // E and emotion k % E, E being the emotion count: the
@@ -242,6 +244,7 @@ class TagStore:
     means: np.ndarray  # (K, M, D)
     variances: np.ndarray  # (K, M, D), floored
     train_meta: list  # K dicts
+    front_end: dict  # opaque here; pipeline.FRONT_END settings
     _inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K, D) 1/var
     _mean_inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K, D) mean/var
     _mean2_inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
@@ -256,6 +259,12 @@ class TagStore:
                 or len(self.train_meta) != k):
             raise DimensionError(f"{k} tags; array shapes {self.weights.shape}, {shape}, "
                                  f"{self.variances.shape}; {len(self.train_meta)} records")
+        for roster in (self.speaker_roster, self.emotion_roster):
+            if (not isinstance(roster, list) or not all(isinstance(x, str) for x in roster)
+                    or len(set(roster)) != len(roster)):
+                raise ValidationError(f"roster {roster!r} is not a list of distinct strings")
+        if not (self.variances > 0).all() or (self.weights < 0).any():
+            raise ValidationError("tag variances must be positive and weights non-negative")
         terms = (*_component_terms(self.means, self.variances), np.log(self.weights))
         self._inv, self._mean_inv = (t.swapaxes(0, 1).reshape(-1, self.dim) for t in terms[:2])
         self._mean2_inv, self._const, self._log_w = (t.T.ravel() for t in terms[2:])

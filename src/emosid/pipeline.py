@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import typing
 import zlib
 from dataclasses import dataclass, field, asdict
 
@@ -21,6 +22,9 @@ from .features import FeatureMatrix
 from .gmm import TagStore
 
 MODES = ("gmm", "dnn", "cascade")
+# the fields that extract_features, load_entry_features and build_bank read
+FRONT_END = ("target_rate_hz", "pre_emphasis", "frame_ms", "hop_ms", "num_filters",
+             "num_coeffs", "log_floor", "fft_size", "low_hz", "high_hz")
 
 
 @dataclass
@@ -59,14 +63,24 @@ class PipelineConfig:
     snr_mode: str = "power"
 
     def __post_init__(self):
-        # a bad front-end, segmentation or training value fails here, not
-        # after reading audio or training
-        if self.target_rate_hz < 1000:
-            raise ConfigError(f"target rate {self.target_rate_hz} below 1000 Hz")
-        if not 0.0 <= self.pre_emphasis < 1.0:
-            raise ConfigError(f"pre-emphasis {self.pre_emphasis} outside [0, 1)")
-        if not 0 < self.hop_ms <= self.frame_ms:
-            raise ConfigError(f"bad framing: frame_ms={self.frame_ms}, hop_ms={self.hop_ms}")
+        # a bad value fails here, not after reading audio or training
+        for ok, problem in [
+                (self.target_rate_hz >= 1000, f"target rate {self.target_rate_hz} below 1000 Hz"),
+                (0.0 <= self.pre_emphasis < 1.0,
+                 f"pre-emphasis {self.pre_emphasis} outside [0, 1)"),
+                (0 < self.hop_ms <= self.frame_ms,
+                 f"bad framing: frame_ms={self.frame_ms}, hop_ms={self.hop_ms}"),
+                (self.mixtures >= 1, f"mixtures {self.mixtures} below 1"),
+                (self.variance_floor > 0, f"variance floor {self.variance_floor} not positive"),
+                (all(h >= 1 for h in self.hidden_sizes),
+                 f"hidden sizes {list(self.hidden_sizes)}: each must be at least 1"),
+                (self.aggregation in cascade_mod.AGGREGATIONS,
+                 f"aggregation {self.aggregation!r} not one of {cascade_mod.AGGREGATIONS}"),
+                (self.snr_ratio > 0, f"SNR ratio {self.snr_ratio} not positive"),
+                (self.snr_mode in audio_mod.MIX_MODES,
+                 f"SNR mode {self.snr_mode!r} not one of {audio_mod.MIX_MODES}")]:
+            if not ok:
+                raise ConfigError(problem)
         build_bank(self)
         self.segment_plan()
         self.train_config()
@@ -83,6 +97,30 @@ class PipelineConfig:
         d = asdict(self)
         d["hidden_sizes"] = list(self.hidden_sizes)
         return d
+
+    def front_end(self) -> dict:
+        """The FRONT_END settings; a tag store records those it was trained under."""
+        return {name: getattr(self, name) for name in FRONT_END}
+
+
+def _json_is(value, typ) -> bool:
+    """isinstance for a JSON value: 8 is a float, true is not a number."""
+    if isinstance(value, bool):
+        return typ is bool
+    return isinstance(value, (int, float) if typ is float else typ)
+
+
+def check_json_types(values: dict) -> None:
+    """Reject PipelineConfig values of the wrong JSON type; nothing is coerced."""
+    hints = typing.get_type_hints(PipelineConfig)
+    for name, value in values.items():
+        want = hints[name]
+        if want is tuple:  # hidden_sizes: a list of ints
+            ok = isinstance(value, list) and all(_json_is(v, int) for v in value)
+        else:
+            ok = any(_json_is(value, t) for t in typing.get_args(want) or (want,))
+        if not ok:
+            raise ConfigError(f"config key {name!r}: {value!r} is not {want}")
 
 
 def extract_features(clip: audio_mod.AudioClip, cfg: PipelineConfig,
@@ -101,6 +139,8 @@ def extract_features(clip: audio_mod.AudioClip, cfg: PipelineConfig,
 def build_bank(cfg: PipelineConfig) -> feat_mod.MelFilterbank:
     frame_len = int(round(cfg.frame_ms * cfg.target_rate_hz / 1000.0))
     fft_size = cfg.fft_size or feat_mod.default_fft_size(frame_len)
+    if fft_size < frame_len:
+        raise ConfigError(f"fft_size {fft_size} smaller than frame length {frame_len}")
     return feat_mod.build_filterbank(cfg.num_filters, cfg.target_rate_hz, fft_size,
                                      cfg.low_hz, cfg.high_hz)
 
@@ -176,7 +216,8 @@ def train_tags(manifest: Manifest, cfg: PipelineConfig, train=None) -> TagStore:
                     weights=np.stack([t.weights for t in tags]),
                     means=np.stack([t.means for t in tags]),
                     variances=np.stack([t.variances for t in tags]),
-                    train_meta=[t.train_meta for t in tags])
+                    train_meta=[t.train_meta for t in tags],
+                    front_end=cfg.front_end())
 
 
 def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
@@ -223,8 +264,12 @@ def evaluate_models(manifest: Manifest, models: TrainedModels, cfg: PipelineConf
     """Run the requested classifier modes over the test split.
 
     Returns a list of TrialRecords (condition is "distorted" when the
-    interference mixer is active).
+    interference mixer is active). cfg's front end must be the one the tag
+    store was trained under.
     """
+    if cfg.front_end() != models.tag_store.front_end:
+        raise ConfigError(f"config front end {cfg.front_end()} differs from the tag "
+                          f"store's {models.tag_store.front_end}")
     test_entries = manifest.split_entries("test")
     if not test_entries:
         raise ValidationError("manifest has no test entries")

@@ -10,6 +10,7 @@ from emosid.audio import AudioClip
 from emosid.containers import TAGS_MAGIC
 from emosid.corpus import SynthSpec, generate_synthetic
 from emosid.gmm import GmmTag, TagStore
+from emosid.pipeline import PipelineConfig
 
 
 @pytest.fixture
@@ -24,12 +25,14 @@ def sine_clip(freq_hz, rate_hz, duration_s=1.0, amplitude=0.5, source_id="sine")
 
 
 def stack_tags(tags, speakers, emotions):
-    """A TagStore of GmmTags given in (speaker x emotion) roster order."""
+    """A TagStore of GmmTags given in (speaker x emotion) roster order, under
+    the default front end."""
     return TagStore(speaker_roster=list(speakers), emotion_roster=list(emotions),
                     weights=np.stack([t.weights for t in tags]),
                     means=np.stack([t.means for t in tags]),
                     variances=np.stack([t.variances for t in tags]),
-                    train_meta=[t.train_meta for t in tags])
+                    train_meta=[t.train_meta for t in tags],
+                    front_end=PipelineConfig().front_end())
 
 
 def tag_at(store, k):
@@ -50,6 +53,17 @@ def v1_tag_store(store):
     arrays = [a[k] for k in range(len(store)) for a in (store.weights, store.means,
                                                          store.variances)]
     return (TAGS_MAGIC + struct.pack("<II", 1, len(head)) + head
+            + b"".join(a.astype("<f8").tobytes() for a in arrays))
+
+
+def v2_tag_store(store):
+    """The bytes of a store in the version-2 layout: today's, with no
+    front_end in the header."""
+    header = {"speaker_roster": store.speaker_roster, "emotion_roster": store.emotion_roster,
+              "shape": list(store.means.shape), "train_meta": store.train_meta}
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    arrays = (store.weights, store.means, store.variances)
+    return (TAGS_MAGIC + struct.pack("<II", 2, len(head)) + head
             + b"".join(a.astype("<f8").tobytes() for a in arrays))
 
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from emosid.audio import (
     AudioClip,
-    de_emphasize,
     frame_and_window,
     hamming_window,
     load_wav,
@@ -161,8 +161,8 @@ class TestPreEmphasis:
 
     def test_inverse_filter_roundtrip(self, rng):
         clip = AudioClip(rng.uniform(-1, 1, 4000), 8000)
-        back = de_emphasize(pre_emphasize(clip, 0.97), 0.97)
-        np.testing.assert_allclose(back.samples, clip.samples, atol=1e-9)
+        back = lfilter([1.0], [1.0, -0.97], pre_emphasize(clip, 0.97).samples)
+        np.testing.assert_allclose(back, clip.samples, atol=1e-9)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -260,5 +260,5 @@ class TestMixInterference:
 def test_pre_emphasis_invertible_property(alpha, seed):
     x = np.random.default_rng(seed).uniform(-1, 1, 256)
     clip = AudioClip(x, 8000)
-    back = de_emphasize(pre_emphasize(clip, alpha), alpha)
-    np.testing.assert_allclose(back.samples, x, atol=1e-9)
+    back = lfilter([1.0], [1.0, -alpha], pre_emphasize(clip, alpha).samples)
+    np.testing.assert_allclose(back, x, atol=1e-9)

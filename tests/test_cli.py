@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emosid import audio, containers, dnn, pipeline
+from emosid import audio, cascade, containers, dnn, pipeline
 from emosid.cli import main
 
-from conftest import v1_tag_store
+from conftest import v1_tag_store, v2_tag_store
 
 
 def run(capsys, *argv):
@@ -117,7 +117,7 @@ class TestTrain:
         monkeypatch.setattr(dnn, "train", no_network)
         out = tmp_path / "g"
         code, stdout, _ = run(capsys, "train-gmm", "--manifest", manifest_path,
-                              "--out", str(out), "--epochs", "40", "--seed", "3")
+                              "--out", str(out), "--seed", "3")
         assert code == 0
         assert json.loads(stdout)["report"]["num_tags"] == 18
         # the same tags as full training with the same settings
@@ -148,6 +148,61 @@ class TestIdentify:
         assert record["gmm_decision"] in record["speakers"]
         assert isinstance(record["tie"], bool)
         assert record["per_segment"]
+
+
+class TestModelFrontEnd:
+    """identify and evaluate run the front end recorded in the tag store."""
+
+    @pytest.fixture(scope="class")
+    def wide_models(self, tmp_path_factory, manifest_path):
+        out = tmp_path_factory.mktemp("wide_models")
+        code = main(["train", "--manifest", manifest_path, "--out", str(out),
+                     "--frame-ms", "40", "--hop-ms", "20", "--epochs", "5", "--seed", "3"])
+        assert code == 0
+        return out
+
+    def test_identify_uses_the_models_front_end(self, corpus_dir, wide_models, capsys):
+        wav = sorted(corpus_dir.glob("spk01_sad_s2_*.wav"))[0]
+        code, stdout, _ = run(capsys, "identify", "--wav", str(wav),
+                              "--tags", str(wide_models / "tags.sidtags"),
+                              "--dnn", str(wide_models / "cascade.siddnn"))
+        assert code == 0
+        record = json.loads(stdout)
+        store = containers.load_tag_store((wide_models / "tags.sidtags").read_bytes())
+        net = containers.load_dnn((wide_models / "cascade.siddnn").read_bytes())
+        cfg = pipeline.PipelineConfig(frame_ms=40.0, hop_ms=20.0)
+        assert store.front_end == cfg.front_end()
+        want = cascade.classify(store, net, pipeline.extract_features(audio.load_wav(wav), cfg))
+        assert record["decision"] == want.speaker_id
+        assert record["posterior"] == want.posterior.tolist()
+
+    def test_evaluate_report_echoes_the_models_front_end(self, manifest_path, wide_models,
+                                                        tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"  # a shared config's front end is overridden
+        cfg_path.write_text(json.dumps({"frame_ms": 25.0, "pre_emphasis": 0.5}))
+        code, stdout, _ = run(capsys, "evaluate", "--manifest", manifest_path,
+                              "--tags", str(wide_models / "tags.sidtags"),
+                              "--dnn", str(wide_models / "cascade.siddnn"),
+                              "--modes", "gmm", "--config", str(cfg_path))
+        assert code == 0
+        config = json.loads(stdout)["config"]
+        assert (config["frame_ms"], config["hop_ms"], config["pre_emphasis"]) == (40, 20, 0.97)
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("identify", "--frame-ms", "25"), ("identify", "--pre-emphasis", "0.0"),
+        ("identify", "--epochs", "7"), ("identify", "--mixtures", "64"),
+        ("identify", "--hidden", "3"), ("evaluate", "--target-rate-hz", "8000"),
+        ("evaluate", "--epochs", "7"), ("train-gmm", "--epochs", "7"),
+        ("extract", "--mixtures", "4")])
+    def test_unread_flag_is_unknown(self, command, flag, value, capsys):
+        required = {"identify": ["--wav", "x", "--tags", "x", "--dnn", "x"],
+                    "evaluate": ["--manifest", "x", "--tags", "x", "--dnn", "x"],
+                    "train-gmm": ["--manifest", "x", "--out", "x"],
+                    "extract": ["--manifest", "x", "--out", "x"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -208,7 +263,9 @@ class TestConfigPrecedence:
 
 class TestTypedFailures:
     @pytest.mark.parametrize("flag, value", [("--segment-overlap", "1.5"),
-                                             ("--epochs", "0")])
+                                             ("--epochs", "0"), ("--mixtures", "0"),
+                                             ("--variance-floor", "0"),
+                                             ("--variance-floor", "-1"), ("--hidden", "0")])
     def test_bad_config_exit_1_before_training(self, manifest_path, tmp_path, capsys,
                                                monkeypatch, flag, value):
         def no_training(*args, **kwargs):
@@ -217,6 +274,24 @@ class TestTypedFailures:
         monkeypatch.setattr(pipeline, "train_models", no_training)
         code, _, err = run(capsys, "train", "--manifest", manifest_path,
                            "--out", str(tmp_path / "x"), flag, value)
+        assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("args", [["--distort", "--snr-ratio", "0"],
+                                      ["--config", {"snr_mode": "db"}],
+                                      ["--config", {"aggregation": "median"}]],
+                             ids=["snr-ratio", "snr-mode", "aggregation"])
+    def test_bad_config_evaluate_exit_1_before_reading_audio(
+            self, manifest_path, model_dir, tmp_path, capsys, monkeypatch, args):
+        def no_audio(*args, **kwargs):
+            raise AssertionError("read audio with a bad config")
+
+        monkeypatch.setattr(audio, "load_wav", no_audio)
+        if isinstance(args[-1], dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(args[-1]))
+            args = [args[0], str(tmp_path / "cfg.json")]
+        code, _, err = run(capsys, "evaluate", "--manifest", manifest_path,
+                           "--tags", str(model_dir / "tags.sidtags"),
+                           "--dnn", str(model_dir / "cascade.siddnn"), *args)
         assert code == 1 and err.startswith("error:")
 
     def test_non_finite_wav_identify_exit(self, model_dir, tmp_path, capsys):
@@ -270,3 +345,13 @@ class TestTypedFailures:
         code, _, err = run(capsys, "identify", "--wav", str(wav), "--tags", str(old),
                            "--dnn", str(model_dir / "cascade.siddnn"))
         assert code == 2 and "version 1" in err
+
+    def test_version_2_tag_store_identify_exit_2(self, corpus_dir, model_dir, tmp_path,
+                                                 capsys):
+        store = containers.load_tag_store((model_dir / "tags.sidtags").read_bytes())
+        old = tmp_path / "old.sidtags"
+        old.write_bytes(v2_tag_store(store))
+        wav = sorted(corpus_dir.glob("spk00_neutral_s2_*.wav"))[0]
+        code, _, err = run(capsys, "identify", "--wav", str(wav), "--tags", str(old),
+                           "--dnn", str(model_dir / "cascade.siddnn"))
+        assert code == 2 and "version 2" in err

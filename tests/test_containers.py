@@ -23,8 +23,9 @@ from emosid.dnn import TrainConfig, init_model, train
 from emosid.errors import ContainerError, EmosidError, VersionError
 from emosid.features import FeatureMatrix
 from emosid.gmm import TagStore
+from emosid.pipeline import PipelineConfig
 
-from conftest import v1_tag_store
+from conftest import v1_tag_store, v2_tag_store
 
 
 @pytest.fixture
@@ -33,7 +34,8 @@ def store(rng):
                     weights=np.tile([0.25, 0.75], (4, 1)),
                     means=rng.standard_normal((4, 2, 3)),
                     variances=rng.uniform(0.5, 2.0, (4, 2, 3)),
-                    train_meta=[{"seed": k, "iterations": 5} for k in range(4)])
+                    train_meta=[{"seed": k, "iterations": 5} for k in range(4)],
+                    front_end=PipelineConfig(frame_ms=40.0, hop_ms=20.0).front_end())
 
 
 class TestFeatures:
@@ -67,7 +69,7 @@ class TestFeatures:
     def test_future_version_names_both(self, rng):
         blob = bytearray(save_features(FeatureMatrix(data=np.zeros((1, 1)))))
         blob[8:12] = struct.pack("<I", 99)
-        with pytest.raises(VersionError, match="99.*2"):
+        with pytest.raises(VersionError, match="99.*3"):
             load_features(bytes(blob))
 
     def test_corrupt_header(self):
@@ -85,6 +87,7 @@ class TestTagStore:
         np.testing.assert_array_equal(back.means, store.means)
         np.testing.assert_array_equal(back.variances, store.variances)
         assert back.train_meta == store.train_meta
+        assert back.front_end == store.front_end
 
     def test_double_roundtrip_stable(self, store):
         once = save_tag_store(store)
@@ -96,6 +99,12 @@ class TestTagStore:
         is refused, not misread."""
         with pytest.raises(VersionError, match="version 1"):
             load_tag_store(v1_tag_store(store))
+
+    def test_v2_container_is_a_version_error(self, store):
+        """The version-2 layout has no front end; it is refused, not read
+        with a guessed one."""
+        with pytest.raises(VersionError, match="version 2"):
+            load_tag_store(v2_tag_store(store))
 
 
 class TestDnn:
@@ -140,13 +149,18 @@ def _set(key, value):
     return lambda h: {**h, key: value}
 
 
+def _front_end(change):
+    return lambda h: {**h, "front_end": change(h["front_end"])}
+
+
 def _valid_blob(kind):
     if kind == "features":
         return save_features(FeatureMatrix(data=np.ones((3, 2)), meta={"frame_ms": 25.0}))
     if kind == "tags":  # K=2 tags, M=1, D=2: a payload of 10 values
         return save_tag_store(TagStore(
             speaker_roster=["a", "b"], emotion_roster=["n"], weights=np.ones((2, 1)),
-            means=np.zeros((2, 1, 2)), variances=np.ones((2, 1, 2)), train_meta=[{}, {}]))
+            means=np.zeros((2, 1, 2)), variances=np.ones((2, 1, 2)), train_meta=[{}, {}],
+            front_end=PipelineConfig().front_end()))
     return save_dnn(init_model(3, (4,), 2, seed=0,
                                input_standardization=(np.zeros(3), np.ones(3))))
 
@@ -176,6 +190,14 @@ _SCHEMA_FAULTS = {
     "tags-train-meta-short": ("tags", _set("train_meta", [{}])),
     "tags-train-meta-long": ("tags", _set("train_meta", [{}, {}, {}])),
     "tags-header-list": ("tags", lambda h: [h]),
+    "tags-roster-nested": ("tags", _set("speaker_roster", [["a"], ["b"]])),
+    "tags-roster-duplicate": ("tags", _set("speaker_roster", ["a", "a"])),
+    "tags-no-front-end": ("tags", _drop("front_end")),
+    "tags-front-end-list": ("tags", _set("front_end", [])),
+    "tags-front-end-short": ("tags", _front_end(_drop("log_floor"))),
+    "tags-front-end-extra": ("tags", _front_end(_set("mixtures", 8))),
+    "tags-front-end-float-rate": ("tags", _front_end(_set("target_rate_hz", 12000.5))),
+    "tags-front-end-invalid": ("tags", _front_end(_set("pre_emphasis", 1.5))),
     "dnn-no-layer-shapes": ("dnn", _drop("layer_shapes")),
     "dnn-no-standardized": ("dnn", _drop("standardized")),
     "dnn-no-train-meta": ("dnn", _drop("train_meta")),
@@ -183,6 +205,7 @@ _SCHEMA_FAULTS = {
     "dnn-layers-str": ("dnn", _set("layer_shapes", "x")),
     "dnn-layer-1d": ("dnn", _set("layer_shapes", [[3], [4, 2]])),
     "dnn-layers-do-not-chain": ("dnn", _set("layer_shapes", [[3, 4], [2, 4]])),
+    "dnn-layers-break-chain": ("dnn", _set("layer_shapes", [[3, 4], [9, 1]])),  # 26 values
     "dnn-standardized-str": ("dnn", _set("standardized", "yes")),
     "dnn-header-list": ("dnn", lambda h: [h]),
 }
@@ -208,13 +231,25 @@ def test_non_finite_payload_value_refused(kind, value):
         _LOADERS[kind](blob[:-8] + struct.pack("<d", value))
 
 
+@pytest.mark.parametrize("index, value", [(9, -1.0), (9, 0.0), (0, -0.5)],
+                         ids=["negative-variance", "zero-variance", "negative-weight"])
+def test_invalid_tag_values_refused(index, value):
+    """A finite but invalid payload value: the last variance or the first
+    weight of a payload of 2 weights, 4 means and 4 variances."""
+    blob = bytearray(_valid_blob("tags"))
+    start = len(blob) - 80 + 8 * index
+    blob[start:start + 8] = struct.pack("<d", value)
+    with pytest.raises(ContainerError, match="variances must be positive"):
+        load_tag_store(bytes(blob))
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                  max_size=3),
     max_leaves=8)
 _HEADER_KEYS = ["meta", "shape", "speaker_roster", "emotion_roster", "train_meta",
-                "layer_shapes", "standardized"]
+                "front_end", "layer_shapes", "standardized"]
 
 
 @settings(max_examples=300, deadline=None)

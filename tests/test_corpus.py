@@ -103,6 +103,17 @@ class TestProtocolCounts:
         assert [dropped.speaker_id, dropped.emotion, dropped.sentence_id,
                 dropped.repetition] in fact["missing"]
 
+    def test_duplicate_does_not_hide_missing_tuple(self, tiny_corpus):
+        """One entry absent and another duplicated: the count is right, the
+        grid is not."""
+        _, manifest = tiny_corpus
+        dropped, kept = manifest.split_entries("train")[:2]
+        entries = [e for e in manifest.entries if e is not dropped] + [kept]
+        fact = protocol_counts(Manifest(entries=entries))["factorial"]["train"]
+        assert not fact["is_factorial"]
+        assert fact["missing"] == [[dropped.speaker_id, dropped.emotion,
+                                    dropped.sentence_id, dropped.repetition]]
+
 
 class TestSynthesize:
     def test_deterministic(self):

@@ -94,11 +94,14 @@ class TestPowerSpectrum:
         assert np.all(others <= 1e-10 * peak)
 
     def test_matches_direct_dft(self, rng):
-        for _ in range(10):
-            frame = rng.standard_normal(100)
+        frames = rng.standard_normal((10, 100))
+        for frame in frames:
             fast = power_spectrum(frame, 128)
             slow = direct_dft_power(frame, 128)
             np.testing.assert_allclose(fast, slow, rtol=1e-6, atol=1e-12)
+        # a frame per row, as mfcc calls it
+        slow = np.stack([direct_dft_power(frame, 128) for frame in frames])
+        np.testing.assert_allclose(power_spectrum(frames, 128), slow, rtol=1e-6, atol=1e-12)
 
     def test_parseval_consistency(self, rng):
         frame = rng.standard_normal(256)
@@ -113,6 +116,8 @@ class TestPowerSpectrum:
     def test_rejects_short_fft(self):
         with pytest.raises(ConfigError):
             power_spectrum(np.zeros(300), 256)
+        with pytest.raises(ConfigError):
+            power_spectrum(np.zeros((4, 300)), 256)
 
 
 class TestFilterbank:

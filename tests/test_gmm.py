@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from emosid.errors import DimensionError, EmptyUtteranceError, InsufficientDataError
+from emosid.errors import DimensionError, EmptyUtteranceError, InsufficientDataError, \
+    ValidationError
 from emosid.features import FeatureMatrix
 from emosid.gmm import (
     GmmTag,
@@ -279,7 +280,8 @@ class TestGmmIdentify:
             stack_tags([tag], ["a"], ["neutral", "happy"])
         with pytest.raises(DimensionError):  # no tags at all
             TagStore(speaker_roster=["a"], emotion_roster=[], weights=np.ones((0, 1)),
-                     means=np.zeros((0, 1, 1)), variances=np.ones((0, 1, 1)), train_meta=[])
+                     means=np.zeros((0, 1, 1)), variances=np.ones((0, 1, 1)), train_meta=[],
+                     front_end={})
 
     def test_store_arrays_must_agree(self, rng):
         """One shape check covers the per-tag faults a dict of tags allowed:
@@ -294,4 +296,24 @@ class TestGmmIdentify:
                           variances=store.variances, train_meta=store.train_meta)
             with pytest.raises(DimensionError):
                 TagStore(speaker_roster=["a", "b"], emotion_roster=["n"],
-                         **{**arrays, **change})
+                         front_end={}, **{**arrays, **change})
+
+    @pytest.mark.parametrize("change", [
+        dict(variances=np.array([[[1.0]], [[-1.0]]])),
+        dict(variances=np.array([[[1.0]], [[0.0]]])),
+        dict(weights=np.array([[1.0], [-0.5]])),
+        dict(speaker_roster=[["a"], ["b"]]),
+        dict(speaker_roster=("a", "b")),
+        dict(speaker_roster=["a", "a"]),
+        dict(emotion_roster=[7]),
+    ], ids=["negative-variance", "zero-variance", "negative-weight", "nested-roster",
+            "tuple-roster", "duplicate-roster", "int-roster"])
+    def test_store_values_checked(self, change):
+        """Variances must be positive, weights non-negative, and each roster
+        a list of distinct strings."""
+        fields = dict(speaker_roster=["a", "b"], emotion_roster=["n"],
+                      weights=np.ones((2, 1)), means=np.zeros((2, 1, 1)),
+                      variances=np.ones((2, 1, 1)), train_meta=[{}, {}], front_end={})
+        TagStore(**fields)
+        with pytest.raises(ValidationError):
+            TagStore(**{**fields, **change})

@@ -46,7 +46,11 @@ def test_entry_features_are_the_front_end(tmp_path):
                                           ("learning_rate", 0.0), ("lr_decay", 1.5),
                                           ("pre_emphasis", 1.5), ("hop_ms", 30.0),
                                           ("frame_ms", 0.0), ("target_rate_hz", 500),
-                                          ("num_filters", 1), ("fft_size", 100)])
+                                          ("num_filters", 1), ("fft_size", 100),
+                                          ("fft_size", 256), ("mixtures", 0),
+                                          ("variance_floor", 0.0), ("variance_floor", -1.0),
+                                          ("hidden_sizes", (0,)), ("snr_ratio", 0.0),
+                                          ("snr_mode", "db"), ("aggregation", "median")])
 def test_config_validated_at_construction(field, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{field: value})
@@ -102,6 +106,12 @@ class TestEvaluateModels:
         assert all(r.condition == "normal" for r in records)
         repetition = {e.path: e.repetition for e in manifest.split_entries("test")}
         assert all(r.repetition == repetition[r.utterance_id] for r in records)
+
+    def test_front_end_must_be_the_models(self, trained):
+        manifest, cfg, models = trained
+        assert models.tag_store.front_end == cfg.front_end()
+        with pytest.raises(ConfigError, match="front end"):
+            evaluate_models(manifest, models, PipelineConfig(seed=3, pre_emphasis=0.0))
 
     def test_distorted_condition_labeled(self, trained):
         manifest, cfg, models = trained
