@@ -9,7 +9,7 @@ state between calls.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,13 +17,13 @@ from scipy.signal import resample_poly
 
 from .errors import (
     AudioFormatError,
+    ConfigError,
     DegenerateNoiseError,
     EmptyAudioError,
     RateMismatchError,
     UnsupportedCodecError,
 )
 
-DEFAULT_PRE_EMPHASIS = 0.97
 MIX_MODES = ("power", "amplitude")
 
 
@@ -150,7 +150,7 @@ def save_wav(path, clip: AudioClip) -> None:
 def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     """Rate-convert with polyphase filtering (anti-aliased on downsampling)."""
     if target_rate_hz < 1000:
-        raise ValueError(f"target rate {target_rate_hz} below 1000 Hz")
+        raise ConfigError(f"target rate {target_rate_hz} below 1000 Hz")
     if target_rate_hz == clip.sample_rate_hz:
         return clip
     ratio = Fraction(target_rate_hz, clip.sample_rate_hz)
@@ -158,10 +158,10 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=clip.source_id)
 
 
-def pre_emphasize(clip: AudioClip, alpha: float = DEFAULT_PRE_EMPHASIS) -> AudioClip:
+def pre_emphasize(clip: AudioClip, alpha: float) -> AudioClip:
     """First-order high-pass: y[n] = x[n] - alpha*x[n-1], y[0] = x[0]."""
     if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"pre-emphasis alpha {alpha} outside [0, 1)")
+        raise ConfigError(f"pre-emphasis alpha {alpha} outside [0, 1)")
     x = clip.samples
     y = np.empty_like(x)
     y[0] = x[0]
@@ -176,14 +176,14 @@ def hamming_window(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
 
 
-def frame_and_window(clip: AudioClip, frame_ms: float = 25.0, hop_ms: float = 10.0) -> FrameSet:
+def frame_and_window(clip: AudioClip, frame_ms: float, hop_ms: float) -> FrameSet:
     """Slice into overlapping frames and apply a Hamming window.
 
     A clip shorter than one frame yields an empty FrameSet rather than an
     error; callers reject such utterances downstream.
     """
     if frame_ms <= 0 or hop_ms <= 0 or hop_ms > frame_ms:
-        raise ValueError(f"bad framing: frame_ms={frame_ms}, hop_ms={hop_ms}")
+        raise ConfigError(f"bad framing: frame_ms={frame_ms}, hop_ms={hop_ms}")
     frame_len = int(round(frame_ms * clip.sample_rate_hz / 1000.0))
     hop_len = int(round(hop_ms * clip.sample_rate_hz / 1000.0))
     hop_len = max(1, min(hop_len, frame_len))
@@ -218,9 +218,9 @@ def mix_interference(clip: AudioClip, noise: AudioClip, power_ratio: float,
         raise RateMismatchError(
             f"clip at {clip.sample_rate_hz} Hz vs noise at {noise.sample_rate_hz} Hz")
     if power_ratio <= 0:
-        raise ValueError(f"power_ratio must be positive, got {power_ratio}")
+        raise ConfigError(f"power_ratio must be positive, got {power_ratio}")
     if mode not in MIX_MODES:
-        raise ValueError(f"unknown mix mode {mode!r}")
+        raise ConfigError(f"unknown mix mode {mode!r}")
 
     x = clip.samples
     n = _tile_to_length(noise.samples, len(x))

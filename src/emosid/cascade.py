@@ -22,15 +22,13 @@ from .errors import ConfigError, DimensionError
 from .features import FeatureMatrix
 from .gmm import TagStore
 
-DEFAULT_SEGMENT_FRAMES = 100
-DEFAULT_SEGMENT_OVERLAP = 0.5
 AGGREGATIONS = ("mean", "geometric")
 
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    frames_per_segment: int = DEFAULT_SEGMENT_FRAMES
-    overlap_fraction: float = DEFAULT_SEGMENT_OVERLAP
+    frames_per_segment: int
+    overlap_fraction: float
 
     def __post_init__(self):
         if self.frames_per_segment < 1:
@@ -115,15 +113,13 @@ class Decision:
 
 
 def classify(store: TagStore, model: dnn_mod.DnnModel, features: FeatureMatrix,
-             plan: SegmentPlan | None = None, aggregation: str = "mean",
-             inputs=likelihood_vectors) -> Decision:
+             plan: SegmentPlan, aggregation: str, inputs=likelihood_vectors) -> Decision:
     """Segments -> DNN -> averaged posterior over the store's speaker roster.
 
     inputs(store, features, spans) gives the DNN's row for each segment:
     ``likelihood_vectors`` for the cascade, ``pooled_stats`` for the
     DNN-alone ablation.
     """
-    plan = plan or SegmentPlan()
     if model.output_size != len(store.speaker_roster):
         raise ConfigError(
             f"DNN output size {model.output_size} != speaker count "

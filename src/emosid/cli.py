@@ -10,9 +10,9 @@ is echoed into every report.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,26 +26,21 @@ from .corpus import SynthSpec, generate_synthetic, load_manifest, protocol_count
 from .errors import ConfigError, EmosidError, ValidationError
 from .pipeline import PipelineConfig
 
+
 def _sizes(text: str) -> tuple:
     return tuple(int(s) for s in text.split(","))
 
 
-# config field -> argparse keywords; the flag is the field name in kebab case
-# unless "flag" says otherwise
+# a config field's flag is its name in kebab case, typed by its annotation,
+# except for these fields: field -> argparse keywords, "flag" naming the flag
 _FLAGS = {
-    "target_rate_hz": {"type": int}, "pre_emphasis": {"type": float},
-    "frame_ms": {"type": float}, "hop_ms": {"type": float},
-    "num_filters": {"type": int}, "num_coeffs": {"type": int},
-    "mixtures": {"type": int}, "variance_floor": {"type": float}, "seed": {"type": int},
-    "segment_frames": {"type": int}, "segment_overlap": {"type": float},
-    "learning_rate": {"type": float}, "epochs": {"type": int},
-    "batch_size": {"type": int}, "lr_decay": {"type": float},
     "hidden_sizes": {"flag": "--hidden", "type": _sizes,
                      "help": "comma-separated hidden layer sizes, e.g. 128,128,128,128"},
     "standardize_inputs": {"flag": "--no-standardize", "action": "store_const",
                            "const": False, "help": "feed raw likelihood vectors to the DNN"},
-    "snr_ratio": {"type": float}, "snr_mode": {"choices": audio_mod.MIX_MODES},
+    "snr_mode": {"choices": audio_mod.MIX_MODES},
 }
+_FIELD_TYPES = typing.get_type_hints(PipelineConfig)  # every config field
 # the flags each subcommand reads; identify and evaluate take the front end
 # from the tag store
 _FRONT_END_FLAGS = ("target_rate_hz", "pre_emphasis", "frame_ms", "hop_ms",
@@ -60,7 +55,7 @@ _EVALUATE_FLAGS = _SEGMENT_FLAGS + ("seed", "snr_ratio", "snr_mode")
 def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     for name in names:
-        kwargs = dict(_FLAGS[name])
+        kwargs = dict(_FLAGS.get(name, {"type": _FIELD_TYPES[name]}))
         flag = kwargs.pop("flag", "--" + name.replace("_", "-"))
         parser.add_argument(flag, dest=name, default=None, **kwargs)
 
@@ -72,13 +67,12 @@ def _build_config(args, front_end=None) -> PipelineConfig:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        known = {f.name for f in dataclasses.fields(PipelineConfig)}
-        unknown = set(file_cfg) - known
+        unknown = set(file_cfg) - set(_FIELD_TYPES)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         pipeline.check_json_types(file_cfg)
         values.update(file_cfg)
-    values.update((name, getattr(args, name)) for name in _FLAGS
+    values.update((name, getattr(args, name)) for name in _FIELD_TYPES
                   if getattr(args, name, None) is not None)
     values.update(front_end or {})
     if "hidden_sizes" in values:

@@ -1,8 +1,8 @@
 """Fully-connected ReLU classifier trained with mini-batch SGD.
 
-Default architecture: four hidden layers of 128 rectified linear units and
-a softmax output over speakers, minimizing cross-entropy. Training is
-deterministic given (dataset, config, seed).
+Hidden layers of rectified linear units (the paper's network has four of
+128) and a softmax output over speakers, minimizing cross-entropy.
+Training is deterministic given (dataset, settings, seed).
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError
-
-DEFAULT_HIDDEN = (128, 128, 128, 128)
+from .errors import DimensionError, DivergenceError
 
 
 def relu(x):
@@ -26,21 +24,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.01
-    epochs: int = 100
-    batch_size: int = 32
-    seed: int = 0
-    lr_decay: float = 0.98
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("learning_rate, epochs and batch_size must be positive")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
 
 @dataclass
@@ -142,34 +125,32 @@ def gradients(model: DnnModel, x: np.ndarray, labels: np.ndarray):
     return loss, grad_w, grad_b
 
 
-def train(inputs, labels, config: TrainConfig | None = None,
-          hidden_sizes=DEFAULT_HIDDEN, output_size: int | None = None,
+def train(inputs, labels, hidden_sizes, output_size: int, *, learning_rate: float,
+          epochs: int, batch_size: int, lr_decay: float, seed: int,
           input_standardization=None) -> DnnModel:
-    """Mini-batch SGD on cross-entropy with per-epoch seeded shuffling."""
-    config = config or TrainConfig()
+    """Mini-batch SGD on cross-entropy with per-epoch seeded shuffling; the
+    learning rate is multiplied by lr_decay after every epoch."""
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if inputs.ndim != 2 or len(inputs) == 0:
         raise ValueError("training set must be a non-empty (N, D) array")
     if len(inputs) != len(labels):
         raise ValueError("inputs and labels disagree on N")
-    if output_size is None:
-        output_size = int(labels.max()) + 1
     if labels.min() < 0 or labels.max() >= output_size:
         raise ValueError("labels out of range")
 
     model = init_model(inputs.shape[1], hidden_sizes, output_size,
-                       seed=config.seed, input_standardization=input_standardization)
-    rng = np.random.default_rng((config.seed, 0x5D))
-    lr = config.learning_rate
+                       seed=seed, input_standardization=input_standardization)
+    rng = np.random.default_rng((seed, 0x5D))
+    lr = learning_rate
     n = len(inputs)
     epoch_losses = []
 
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         batch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
             loss, grad_w, grad_b = gradients(model, inputs[idx], labels[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
@@ -178,14 +159,14 @@ def train(inputs, labels, config: TrainConfig | None = None,
                 model.biases[k] -= lr * grad_b[k]
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-        lr *= config.lr_decay
+        lr *= lr_decay
 
     model.train_meta = {
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "lr_decay": config.lr_decay,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
+        "epochs": epochs,
+        "learning_rate": learning_rate,
+        "lr_decay": lr_decay,
+        "batch_size": batch_size,
+        "seed": seed,
         "final_loss": epoch_losses[-1],
         "epoch_losses": epoch_losses,
     }

@@ -15,10 +15,6 @@ import scipy.fft
 from .audio import FrameSet
 from .errors import ConfigError
 
-DEFAULT_NUM_FILTERS = 26
-DEFAULT_NUM_COEFFS = 13
-DEFAULT_LOG_FLOOR = 1e-10
-
 
 def hz_to_mel(f):
     """Mel scale, base-10 convention: m = 2595*log10(1 + f/700)."""
@@ -72,13 +68,13 @@ class MelFilterbank:
 
 
 def build_filterbank(num_filters: int, sample_rate_hz: int, fft_size: int,
-                     low_hz: float = 0.0, high_hz: float | None = None) -> MelFilterbank:
+                     low_hz: float, high_hz: float | None) -> MelFilterbank:
     """Construct the Mel filterbank over the one-sided FFT bins.
 
     num_filters + 2 boundary points are equally spaced in Mel between the
-    band edges, mapped back to Hz, then snapped to DFT bins. Triangle k
-    rises from boundary k-1 to a peak of 1 at boundary k and falls to
-    boundary k+1.
+    band edges (high_hz None is Nyquist), mapped back to Hz, then snapped to
+    DFT bins. Triangle k rises from boundary k-1 to a peak of 1 at boundary
+    k and falls to boundary k+1.
     """
     _check_power_of_two(fft_size)
     nyquist = sample_rate_hz / 2.0
@@ -127,8 +123,8 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int = DEFAULT_NUM_COEFFS,
-         log_floor: float = DEFAULT_LOG_FLOOR, meta: dict | None = None) -> FeatureMatrix:
+def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int, log_floor: float,
+         meta: dict | None = None) -> FeatureMatrix:
     """Compute MFCCs for every frame in a FrameSet."""
     if num_coeffs > bank.num_filters:
         raise ConfigError(

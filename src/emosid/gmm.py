@@ -20,7 +20,6 @@ from .errors import DimensionError, EmptyUtteranceError, InsufficientDataError, 
     ValidationError
 from .features import FeatureMatrix
 
-DEFAULT_MIXTURES = 16
 DEFAULT_VARIANCE_FLOOR = 1e-4
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITERS = 200
@@ -148,7 +147,7 @@ def _farthest_point_init(data: np.ndarray, m: int, rng: np.random.Generator) -> 
     return data[chosen].copy()
 
 
-def em_fit(data, num_components: int = DEFAULT_MIXTURES, *, max_iters: int = DEFAULT_MAX_ITERS,
+def em_fit(data, num_components: int, *, max_iters: int = DEFAULT_MAX_ITERS,
            tol: float = DEFAULT_TOL, variance_floor: float = DEFAULT_VARIANCE_FLOOR,
            seed: int = 0) -> GmmTag:
     """Train a diagonal GMM by expectation-maximization.

@@ -29,7 +29,9 @@ FRONT_END = ("target_rate_hz", "pre_emphasis", "frame_ms", "hop_ms", "num_filter
 
 @dataclass
 class PipelineConfig:
-    """Effective settings for the whole pipeline; echoed into every report."""
+    """Effective settings for the whole pipeline, and the only source of their
+    defaults and value checks: library functions take explicit values. Echoed
+    into every report."""
 
     target_rate_hz: int = 12000
     pre_emphasis: float = 0.97
@@ -70,10 +72,20 @@ class PipelineConfig:
                  f"pre-emphasis {self.pre_emphasis} outside [0, 1)"),
                 (0 < self.hop_ms <= self.frame_ms,
                  f"bad framing: frame_ms={self.frame_ms}, hop_ms={self.hop_ms}"),
+                (1 <= self.num_coeffs <= self.num_filters,
+                 f"num_coeffs {self.num_coeffs} outside [1, num_filters={self.num_filters}]"),
+                (self.log_floor > 0, f"log floor {self.log_floor} not positive"),
                 (self.mixtures >= 1, f"mixtures {self.mixtures} below 1"),
                 (self.variance_floor > 0, f"variance floor {self.variance_floor} not positive"),
+                (self.gmm_max_iters >= 1, f"gmm_max_iters {self.gmm_max_iters} below 1"),
+                (self.gmm_tol >= 0, f"gmm_tol {self.gmm_tol} negative"),
                 (all(h >= 1 for h in self.hidden_sizes),
                  f"hidden sizes {list(self.hidden_sizes)}: each must be at least 1"),
+                (self.learning_rate > 0, f"learning rate {self.learning_rate} not positive"),
+                (self.epochs >= 1, f"epochs {self.epochs} below 1"),
+                (self.batch_size >= 1, f"batch size {self.batch_size} below 1"),
+                (0.0 < self.lr_decay <= 1.0, f"lr_decay {self.lr_decay} outside (0, 1]"),
+                (self.seed >= 0, f"seed {self.seed} negative"),
                 (self.aggregation in cascade_mod.AGGREGATIONS,
                  f"aggregation {self.aggregation!r} not one of {cascade_mod.AGGREGATIONS}"),
                 (self.snr_ratio > 0, f"SNR ratio {self.snr_ratio} not positive"),
@@ -83,15 +95,9 @@ class PipelineConfig:
                 raise ConfigError(problem)
         build_bank(self)
         self.segment_plan()
-        self.train_config()
 
     def segment_plan(self) -> cascade_mod.SegmentPlan:
         return cascade_mod.SegmentPlan(self.segment_frames, self.segment_overlap)
-
-    def train_config(self) -> dnn_mod.TrainConfig:
-        return dnn_mod.TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
-                                   batch_size=self.batch_size, seed=self.seed,
-                                   lr_decay=self.lr_decay)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -138,7 +144,7 @@ def extract_features(clip: audio_mod.AudioClip, cfg: PipelineConfig,
 
 def build_bank(cfg: PipelineConfig) -> feat_mod.MelFilterbank:
     frame_len = int(round(cfg.frame_ms * cfg.target_rate_hz / 1000.0))
-    fft_size = cfg.fft_size or feat_mod.default_fft_size(frame_len)
+    fft_size = feat_mod.default_fft_size(frame_len) if cfg.fft_size is None else cfg.fft_size
     if fft_size < frame_len:
         raise ConfigError(f"fft_size {fft_size} smaller than frame length {frame_len}")
     return feat_mod.build_filterbank(cfg.num_filters, cfg.target_rate_hz, fft_size,
@@ -238,14 +244,14 @@ def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
     pooled = np.concatenate(pooled)
     labels = np.asarray(labels)
 
-    num_speakers = len(manifest.speaker_roster)
-    tc = cfg.train_config()
-    std_lv = _standardization(lvs) if cfg.standardize_inputs else None
-    cascade_net = dnn_mod.train(lvs, labels, tc, cfg.hidden_sizes, num_speakers,
-                                input_standardization=std_lv)
-    std_pooled = _standardization(pooled) if cfg.standardize_inputs else None
-    dnn_only = dnn_mod.train(pooled, labels, tc, cfg.hidden_sizes, num_speakers,
-                             input_standardization=std_pooled)
+    nets = []
+    for rows in (lvs, pooled):
+        std = _standardization(rows) if cfg.standardize_inputs else None
+        nets.append(dnn_mod.train(
+            rows, labels, cfg.hidden_sizes, len(manifest.speaker_roster),
+            learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
+            lr_decay=cfg.lr_decay, seed=cfg.seed, input_standardization=std))
+    cascade_net, dnn_only = nets
 
     report = {
         "config": cfg.to_dict(),

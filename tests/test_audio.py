@@ -20,6 +20,7 @@ from emosid.audio import (
 )
 from emosid.errors import (
     AudioFormatError,
+    ConfigError,
     DegenerateNoiseError,
     EmptyAudioError,
     RateMismatchError,
@@ -141,7 +142,7 @@ class TestResample:
         assert abs(out.duration_s - clip.duration_s) <= 1.0 / 12000
 
     def test_rate_too_low(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             resample(sine_clip(100, 8000), 500)
 
 
@@ -165,7 +166,7 @@ class TestPreEmphasis:
         np.testing.assert_allclose(back, clip.samples, atol=1e-9)
 
     def test_bad_alpha(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             pre_emphasize(sine_clip(100, 8000), 1.0)
 
 
@@ -200,7 +201,7 @@ class TestFraming:
         assert fs.num_frames == 10
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             frame_and_window(sine_clip(100, 8000), 10.0, 20.0)
 
 
@@ -234,6 +235,12 @@ class TestMixInterference:
     def test_rate_mismatch(self):
         with pytest.raises(RateMismatchError):
             mix_interference(sine_clip(100, 8000), sine_clip(100, 16000), 2.0)
+
+    @pytest.mark.parametrize("power_ratio, mode", [(0.0, "power"), (-2.0, "amplitude"),
+                                                   (2.0, "db")])
+    def test_bad_ratio_or_mode(self, power_ratio, mode):
+        with pytest.raises(ConfigError):
+            mix_interference(sine_clip(100, 8000), sine_clip(300, 8000), power_ratio, mode)
 
     def test_silent_noise(self):
         with pytest.raises(DegenerateNoiseError):

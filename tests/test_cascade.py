@@ -10,12 +10,14 @@ from emosid.cascade import (
     pooled_stats,
     segment,
 )
-from emosid.dnn import TrainConfig, init_model, train
+from emosid.dnn import init_model, train
 from emosid.errors import ConfigError, DimensionError, EmptyUtteranceError
 from emosid.features import FeatureMatrix
 from emosid.gmm import GmmTag, em_fit, gmm_identify, score_utterance
 
 from conftest import stack_tags, tag_at
+
+PLAN = SegmentPlan(100, 0.5)  # PipelineConfig's default segmentation
 
 
 def fm(n, d=4, rng=None):
@@ -70,7 +72,7 @@ class TestSegment:
 
     def test_empty_utterance_rejected(self):
         with pytest.raises(DimensionError):
-            segment(fm(0), SegmentPlan())
+            segment(fm(0), PLAN)
 
 
 class TestLikelihoodVector:
@@ -135,10 +137,9 @@ class TestScoreMatrix:
     @pytest.mark.parametrize("duplicate", [False, True])
     def test_matches_per_span_loop(self, rng, duplicate):
         store = em_store(rng, duplicate=duplicate)
-        plan = SegmentPlan()
         for n in self.LENGTHS:
             features = FeatureMatrix(rng.standard_normal((n, 13)) * 1.5)
-            spans = segment(features, plan)
+            spans = segment(features, PLAN)
             lv = likelihood_vectors(store, features, spans)
             expected = [[score_utterance(tag_at(store, k), features.data[a:b])
                          for k in range(len(store))] for a, b in spans]
@@ -200,14 +201,14 @@ class TestClassify:
     def test_single_segment_posterior_passthrough(self, setup, rng):
         store, model = setup
         features = fm(80, rng=rng)  # < 100 frames: one segment
-        dec = classify(store, model, features, SegmentPlan(100, 0.5))
+        dec = classify(store, model, features, PLAN, "mean")
         assert len(dec.per_segment) == 1
         np.testing.assert_allclose(dec.posterior, dec.per_segment[0]["posterior"],
                                    atol=1e-15)
 
     def test_posterior_is_distribution(self, setup, rng):
         store, model = setup
-        dec = classify(store, model, fm(250, rng=rng))
+        dec = classify(store, model, fm(250, rng=rng), PLAN, "mean")
         assert abs(dec.posterior.sum() - 1.0) < 1e-9
         assert np.all(dec.posterior >= 0) and np.all(dec.posterior <= 1)
         assert dec.speaker_id == store.speaker_roster[int(np.argmax(dec.posterior))]
@@ -218,7 +219,7 @@ class TestClassify:
         model = init_model(6, (16,), 3, seed=4)
         block = rng.standard_normal((50, 4))
         features = FeatureMatrix(data=np.tile(block, (4, 1)))
-        dec = classify(store, model, features, SegmentPlan(100, 0.5))
+        dec = classify(store, model, features, PLAN, "mean")
         for rec in dec.per_segment:
             np.testing.assert_allclose(rec["posterior"], dec.per_segment[0]["posterior"],
                                        atol=1e-12)
@@ -243,17 +244,17 @@ class TestClassify:
         store, _ = setup
         wrong_in = init_model(5, (8,), 3, seed=0)
         with pytest.raises(ConfigError):
-            classify(store, wrong_in, fm(120, rng=rng))
+            classify(store, wrong_in, fm(120, rng=rng), PLAN, "mean")
         wrong_out = init_model(6, (8,), 4, seed=0)
         with pytest.raises(ConfigError):
-            classify(store, wrong_out, fm(120, rng=rng))
+            classify(store, wrong_out, fm(120, rng=rng), PLAN, "mean")
 
     def test_geometric_aggregation(self, setup, rng):
         store, model = setup
-        dec = classify(store, model, fm(250, rng=rng), aggregation="geometric")
+        dec = classify(store, model, fm(250, rng=rng), PLAN, "geometric")
         assert abs(dec.posterior.sum() - 1.0) < 1e-9
         with pytest.raises(ConfigError):
-            classify(store, model, fm(250, rng=rng), aggregation="median")
+            classify(store, model, fm(250, rng=rng), PLAN, "median")
 
 
 class TestClassifyDnnOnly:
@@ -262,8 +263,7 @@ class TestClassifyDnnOnly:
     def test_single_segment(self, rng):
         store = toy_store(rng)
         model = init_model(8, (16,), 3, seed=1)
-        dec = classify(store, model, fm(60, rng=rng), SegmentPlan(100, 0.5),
-                       inputs=pooled_stats)
+        dec = classify(store, model, fm(60, rng=rng), PLAN, "mean", inputs=pooled_stats)
         assert len(dec.per_segment) == 1
         assert dec.speaker_id in ("a", "b", "c")
 
@@ -271,8 +271,8 @@ class TestClassifyDnnOnly:
         store = toy_store(rng)
         model = init_model(8, (16,), 3, seed=1)
         const = FeatureMatrix(data=np.tile([0.1, 0.2, 0.3, 0.4], (120, 1)))
-        a = classify(store, model, const, inputs=pooled_stats)
-        b = classify(store, model, const, inputs=pooled_stats)
+        a = classify(store, model, const, PLAN, "mean", inputs=pooled_stats)
+        b = classify(store, model, const, PLAN, "mean", inputs=pooled_stats)
         assert a.speaker_id == b.speaker_id
         np.testing.assert_array_equal(a.posterior, b.posterior)
 
@@ -280,10 +280,10 @@ class TestClassifyDnnOnly:
         store = toy_store(rng)
         model = init_model(5, (16,), 3, seed=1)
         with pytest.raises(ConfigError):
-            classify(store, model, fm(60, rng=rng), inputs=pooled_stats)
+            classify(store, model, fm(60, rng=rng), PLAN, "mean", inputs=pooled_stats)
         # a cascade-sized network (one input per tag) is refused as well
         with pytest.raises(ConfigError):
-            classify(store, init_model(6, (16,), 3, seed=1), fm(60, rng=rng),
+            classify(store, init_model(6, (16,), 3, seed=1), fm(60, rng=rng), PLAN, "mean",
                      inputs=pooled_stats)
 
 
@@ -303,9 +303,8 @@ def test_trained_cascade_beats_chance(rng):
             ys.append(k)
     xs = np.stack(xs)
     std = (xs.mean(axis=0), np.maximum(xs.std(axis=0), 1e-12))
-    model = train(xs, np.array(ys),
-                  TrainConfig(learning_rate=0.3, epochs=150, seed=2),
-                  hidden_sizes=(32,), output_size=3, input_standardization=std)
+    model = train(xs, np.array(ys), (32,), 3, learning_rate=0.3, epochs=150, batch_size=32,
+                  lr_decay=0.98, seed=2, input_standardization=std)
     correct = 0
     trials = 30
     for t in range(trials):
@@ -314,6 +313,6 @@ def test_trained_cascade_beats_chance(rng):
         comp = rng.integers(0, 2, 20)
         frames = tag.means[comp] + rng.standard_normal((20, 4)) * np.sqrt(
             tag.variances[comp])
-        dec = classify(store, model, FeatureMatrix(frames), plan)
+        dec = classify(store, model, FeatureMatrix(frames), plan, "mean")
         correct += dec.speaker_id == store.speaker_roster[k]
     assert correct / trials > 0.8

@@ -172,7 +172,8 @@ class TestModelFrontEnd:
         net = containers.load_dnn((wide_models / "cascade.siddnn").read_bytes())
         cfg = pipeline.PipelineConfig(frame_ms=40.0, hop_ms=20.0)
         assert store.front_end == cfg.front_end()
-        want = cascade.classify(store, net, pipeline.extract_features(audio.load_wav(wav), cfg))
+        want = cascade.classify(store, net, pipeline.extract_features(audio.load_wav(wav), cfg),
+                                cfg.segment_plan(), cfg.aggregation)
         assert record["decision"] == want.speaker_id
         assert record["posterior"] == want.posterior.tolist()
 
@@ -318,6 +319,22 @@ class TestTypedFailures:
         monkeypatch.setattr(audio, "load_wav", no_audio)
         code, _, err = run(capsys, "extract", "--manifest", manifest_path,
                            "--out", str(tmp_path / "f"), *flags)
+        assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--num-coeffs", "0"],
+                                      ["--num-coeffs", "27"], ["--config", {"log_floor": 0}]],
+                             ids=["seed", "num-coeffs-0", "num-coeffs-27", "log-floor"])
+    def test_bad_config_train_gmm_exit_1_before_reading_audio(
+            self, manifest_path, tmp_path, capsys, monkeypatch, args):
+        def no_audio(*args, **kwargs):
+            raise AssertionError("read audio with a bad config")
+
+        monkeypatch.setattr(audio, "load_wav", no_audio)
+        if isinstance(args[-1], dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(args[-1]))
+            args = [args[0], str(tmp_path / "cfg.json")]
+        code, _, err = run(capsys, "train-gmm", "--manifest", manifest_path,
+                           "--out", str(tmp_path / "x"), *args)
         assert code == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize("values", [{"epochs": "5"}, {"mixtures": "8"},

@@ -19,7 +19,7 @@ from emosid.containers import (
     save_features,
     save_tag_store,
 )
-from emosid.dnn import TrainConfig, init_model, train
+from emosid.dnn import init_model, train
 from emosid.errors import ContainerError, EmosidError, VersionError
 from emosid.features import FeatureMatrix
 from emosid.gmm import TagStore
@@ -110,8 +110,8 @@ class TestTagStore:
 class TestDnn:
     def test_roundtrip_bit_exact(self, rng):
         std = (rng.standard_normal(4), rng.uniform(0.5, 2, 4))
-        model = train(rng.standard_normal((30, 4)), rng.integers(0, 3, 30),
-                      TrainConfig(epochs=2, seed=5), hidden_sizes=(8, 8),
+        model = train(rng.standard_normal((30, 4)), rng.integers(0, 3, 30), (8, 8), 3,
+                      learning_rate=0.01, epochs=2, batch_size=32, lr_decay=0.98, seed=5,
                       input_standardization=std)
         back = load_dnn(save_dnn(model))
         for wa, wb in zip(model.weights, back.weights):

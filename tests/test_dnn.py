@@ -5,7 +5,6 @@ import pytest
 
 from emosid.dnn import (
     DnnModel,
-    TrainConfig,
     cross_entropy,
     forward,
     gradients,
@@ -15,6 +14,7 @@ from emosid.dnn import (
     train,
 )
 from emosid.errors import ConfigError, DimensionError, DivergenceError
+from emosid.pipeline import PipelineConfig
 
 
 class TestRelu:
@@ -144,24 +144,24 @@ class TestTrain:
         b = rng.standard_normal((100, 2)) * 0.3 + [-2, -2]
         x = np.vstack([a, b])
         y = np.array([0] * 100 + [1] * 100)
-        model = train(x, y, TrainConfig(learning_rate=0.1, epochs=200, seed=1))
+        model = train(x, y, (128, 128, 128, 128), 2, learning_rate=0.1, epochs=200,
+                      batch_size=32, lr_decay=0.98, seed=1)
         p, _ = forward(model, x)
         assert np.mean(p.argmax(axis=1) == y) == 1.0
 
     def test_memorizes_single_example(self):
         x = np.array([[0.5, -0.25, 1.0]])
         y = np.array([1])
-        model = train(x, y, TrainConfig(learning_rate=0.5, epochs=400,
-                                        batch_size=1, seed=0, lr_decay=1.0),
-                      hidden_sizes=(16,), output_size=3)
+        model = train(x, y, (16,), 3, learning_rate=0.5, epochs=400, batch_size=1,
+                      lr_decay=1.0, seed=0)
         assert model.train_meta["final_loss"] < 1e-3
 
     def test_deterministic_given_seed(self, rng):
         x = rng.standard_normal((50, 4))
         y = rng.integers(0, 3, 50)
-        cfg = TrainConfig(learning_rate=0.05, epochs=10, seed=9)
-        a = train(x, y, cfg, hidden_sizes=(8, 8))
-        b = train(x, y, cfg, hidden_sizes=(8, 8))
+        sgd = dict(learning_rate=0.05, epochs=10, batch_size=32, lr_decay=0.98, seed=9)
+        a = train(x, y, (8, 8), 3, **sgd)
+        b = train(x, y, (8, 8), 3, **sgd)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
@@ -172,21 +172,25 @@ class TestTrain:
         x = rng.standard_normal((40, 3)) * 100
         y = rng.integers(0, 2, 40)
         with pytest.raises(DivergenceError, match="epoch"):
-            train(x, y, TrainConfig(learning_rate=1e6, epochs=20, seed=0),
-                  hidden_sizes=(8,))
+            train(x, y, (8,), 2, learning_rate=1e6, epochs=20, batch_size=32,
+                  lr_decay=0.98, seed=0)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            train(np.zeros((0, 3)), np.zeros(0, dtype=int))
+            train(np.zeros((0, 3)), np.zeros(0, dtype=int), (8,), 2, learning_rate=0.01,
+                  epochs=1, batch_size=32, lr_decay=0.98, seed=0)
 
     def test_default_architecture(self, rng):
         x = rng.standard_normal((40, 5))
         y = rng.integers(0, 2, 40)
-        model = train(x, y, TrainConfig(epochs=1, seed=0))
+        hidden = PipelineConfig().hidden_sizes
+        assert hidden == (128, 128, 128, 128)
+        model = train(x, y, hidden, 2, learning_rate=0.01, epochs=1, batch_size=32,
+                      lr_decay=0.98, seed=0)
         assert model.hidden_sizes == (128, 128, 128, 128)
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=-1.0)
+            PipelineConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
-            TrainConfig(lr_decay=0.0)
+            PipelineConfig(lr_decay=0.0)

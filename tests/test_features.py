@@ -144,7 +144,7 @@ class TestFilterbank:
         assert np.max(np.abs(spacings - spacings[0])) < 1e-9
 
     def test_triangle_shape(self):
-        bank = build_filterbank(20, 16000, 512)
+        bank = build_filterbank(20, 16000, 512, 0.0, None)
         for k, tri in enumerate(bank.triangles):
             assert np.all(tri >= 0)
             assert tri[bank.boundary_bins[k + 1]] == 1.0
@@ -155,7 +155,7 @@ class TestFilterbank:
         with pytest.raises(ConfigError):
             build_filterbank(26, 12000, 512, 0.0, 7000.0)  # beyond Nyquist
         with pytest.raises(ConfigError):
-            build_filterbank(1, 12000, 512)
+            build_filterbank(1, 12000, 512, 0.0, None)
         with pytest.raises(ConfigError):
             build_filterbank(26, 12000, 512, 5000.0, 4000.0)
 
@@ -206,7 +206,7 @@ class TestMfcc:
     def test_row_count_matches_frame_count(self, bank):
         clip = AudioClip(np.sin(np.linspace(0, 100, 12000)) * 0.3, 12000)
         fs = frame_and_window(clip, 25.0, 10.0)
-        fm = mfcc(fs, bank)
+        fm = mfcc(fs, bank, 13, 1e-10)
         assert fm.num_frames == fs.num_frames
 
     def test_too_many_coeffs(self, bank):

@@ -50,7 +50,10 @@ def test_entry_features_are_the_front_end(tmp_path):
                                           ("fft_size", 256), ("mixtures", 0),
                                           ("variance_floor", 0.0), ("variance_floor", -1.0),
                                           ("hidden_sizes", (0,)), ("snr_ratio", 0.0),
-                                          ("snr_mode", "db"), ("aggregation", "median")])
+                                          ("snr_mode", "db"), ("aggregation", "median"),
+                                          ("fft_size", 0), ("gmm_max_iters", 0),
+                                          ("gmm_tol", -1e-4), ("seed", -1), ("num_coeffs", 0),
+                                          ("num_coeffs", 27), ("log_floor", 0.0)])
 def test_config_validated_at_construction(field, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{field: value})
