@@ -163,6 +163,8 @@ def pre_emphasize(clip: AudioClip, alpha: float) -> AudioClip:
     if not 0.0 <= alpha < 1.0:
         raise ConfigError(f"pre-emphasis alpha {alpha} outside [0, 1)")
     x = clip.samples
+    if len(x) == 0:
+        raise EmptyAudioError(f"{clip.source_id or 'clip'}: no samples to pre-emphasize")
     y = np.empty_like(x)
     y[0] = x[0]
     y[1:] = x[1:] - alpha * x[:-1]
@@ -193,8 +195,8 @@ def frame_and_window(clip: AudioClip, frame_ms: float, hop_ms: float) -> FrameSe
         return FrameSet(frames=np.zeros((0, frame_len)), frame_len=frame_len, hop_len=hop_len)
 
     num_frames = (len(x) - frame_len) // hop_len + 1
-    idx = np.arange(frame_len)[None, :] + hop_len * np.arange(num_frames)[:, None]
-    frames = x[idx] * hamming_window(frame_len)[None, :]
+    windows = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop_len][:num_frames]
+    frames = windows * hamming_window(frame_len)[None, :]
     return FrameSet(frames=frames, frame_len=frame_len, hop_len=hop_len)
 
 

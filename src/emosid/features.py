@@ -109,10 +109,20 @@ def build_filterbank(num_filters: int, sample_rate_hz: int, fft_size: int,
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-frame MFCC vectors for one utterance (frames x coefficients)."""
+    """Per-frame MFCC vectors for one utterance (frames x coefficients).
+
+    ``data`` is a read-only view of the array given; that array is not to be
+    changed afterwards. ``gmm.frame_scores`` keys its memo on the object, so
+    an utterance's values must stay fixed for its life.
+    """
 
     data: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        view = np.asarray(self.data).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "data", view)
 
     @property
     def num_frames(self) -> int:

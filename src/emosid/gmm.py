@@ -8,10 +8,16 @@ A ``TagStore`` holds all tags as stacked (K, M, D) arrays in roster order.
 ``frame_scores`` scores an utterance against every tag of a store at once;
 ``score_utterance`` scores it against one tag and is the reference the
 stacked kernel is tested against, bit for bit.
+
+Scores are shared per (store, ``FeatureMatrix``) pair: a store keeps the
+matrix of the last ``FeatureMatrix`` it scored, so the cascade and GMM-alone
+decisions on one utterance score it once. Raw arrays are scored afresh on
+every call.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,6 +241,9 @@ class TagStore:
     (speaker roster x emotion roster) order. On construction the scoring
     terms of ``frame_scores`` are derived, component-major: row j*K + k is
     component j of tag k. A store's arrays are not to be changed afterwards.
+
+    The store also holds ``frame_scores``' memo: a weak reference to the last
+    ``FeatureMatrix`` it scored and that utterance's read-only (K, T) matrix.
     """
 
     speaker_roster: list
@@ -249,6 +258,7 @@ class TagStore:
     _mean2_inv: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
     _const: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
     _log_w: np.ndarray = field(init=False, repr=False, compare=False)  # (M*K,)
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.speaker_roster) * len(self.emotion_roster)
@@ -280,13 +290,29 @@ def frame_scores(store: TagStore, features) -> np.ndarray:
     """Log-likelihood of every frame under every tag, as a (K, T) matrix.
 
     Row k is tag k in roster order and is contiguous; it equals
-    ``log_mixture_density(tag_k, data)`` bit for bit. The whole utterance is
-    scored with one pair of matrix products and one log-sum-exp: the float
-    operations are those of ``log_component_densities`` in the same order,
-    done in place. Splitting the frames into blocks would change the BLAS
-    kernel shapes, and with them some last bits.
+    ``log_mixture_density(tag_k, data)`` bit for bit. For a ``FeatureMatrix``
+    the matrix is read-only and kept on the store until another
+    ``FeatureMatrix`` is scored: a second call on the same object returns it.
     """
-    data = features.data if isinstance(features, FeatureMatrix) else features
+    if not isinstance(features, FeatureMatrix):
+        return _score(store, features)
+    # one read and one write of the entry: concurrent callers may each score
+    # the utterance, but never get another utterance's matrix
+    memo = store._memo
+    if memo is not None and memo[0]() is features:
+        return memo[1]
+    scores = _score(store, features.data)
+    scores.flags.writeable = False
+    store._memo = (weakref.ref(features), scores)
+    return scores
+
+
+def _score(store: TagStore, data) -> np.ndarray:
+    """``frame_scores`` without the memo. The whole utterance is scored with
+    one pair of matrix products and one log-sum-exp: the float operations are
+    those of ``log_component_densities`` in the same order, done in place.
+    Splitting the frames into blocks would change the BLAS kernel shapes, and
+    with them some last bits."""
     x = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if x.shape[0] == 0:
         raise EmptyUtteranceError("cannot score an utterance with no frames")

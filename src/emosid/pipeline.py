@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import typing
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -66,6 +67,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         # a bad value fails here, not after reading audio or training
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} {value} not finite")
         for ok, problem in [
                 (self.target_rate_hz >= 1000, f"target rate {self.target_rate_hz} below 1000 Hz"),
                 (0.0 <= self.pre_emphasis < 1.0,

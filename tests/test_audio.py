@@ -169,6 +169,23 @@ class TestPreEmphasis:
         with pytest.raises(ConfigError):
             pre_emphasize(sine_clip(100, 8000), 1.0)
 
+    def test_empty_clip(self):
+        with pytest.raises(EmptyAudioError):
+            pre_emphasize(AudioClip(np.zeros(0), 8000), 0.97)
+
+
+def fancy_index_frames(x, frame_len, hop_len):
+    """The frames as one fancy-index gather, the strided view's reference."""
+    num_frames = (len(x) - frame_len) // hop_len + 1
+    idx = np.arange(frame_len)[None, :] + hop_len * np.arange(num_frames)[:, None]
+    return x[idx] * hamming_window(frame_len)[None, :]
+
+
+def assert_frames_match_fancy_index(x, rate, frame_ms, hop_ms):
+    fs = frame_and_window(AudioClip(x, rate), frame_ms, hop_ms)
+    want = fancy_index_frames(x, fs.frame_len, fs.hop_len)
+    assert fs.frames.shape == want.shape and fs.frames.tobytes() == want.tobytes()
+
 
 class TestFraming:
     def test_frame_len_16k_25ms(self):
@@ -203,6 +220,26 @@ class TestFraming:
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             frame_and_window(sine_clip(100, 8000), 10.0, 20.0)
+
+    @pytest.mark.parametrize("length, frame_ms, hop_ms, frames",
+                             [(400, 25.0, 10.0, 1), (559, 25.0, 10.0, 1),
+                              (560, 25.0, 10.0, 2), (1000, 25.0, 25.0, 2)],
+                             ids=["frame-len", "frame-len-plus-hop-minus-1",
+                                  "frame-len-plus-hop", "hop-equals-frame"])
+    def test_strided_view_equals_fancy_index(self, rng, length, frame_ms, hop_ms, frames):
+        x = rng.uniform(-1, 1, length)
+        assert frame_and_window(AudioClip(x, 16000), frame_ms, hop_ms).num_frames == frames
+        assert_frames_match_fancy_index(x, 16000, frame_ms, hop_ms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_len=st.integers(1, 64), hop_frac=st.floats(0.01, 1.0),
+       extra=st.integers(0, 500), seed=st.integers(0, 2**16))
+def test_strided_framing_equals_fancy_index_property(frame_len, hop_frac, extra, seed):
+    """At 1000 Hz a millisecond is a sample: any frame, hop and length."""
+    hop_len = max(1, round(frame_len * hop_frac))
+    x = np.random.default_rng(seed).uniform(-1, 1, frame_len + extra)
+    assert_frames_match_fancy_index(x, 1000, float(frame_len), float(hop_len))
 
 
 class TestMixInterference:

@@ -309,8 +309,9 @@ class TestTypedFailures:
         assert code == 2 and "non-finite" in err
 
     @pytest.mark.parametrize("flags", [["--pre-emphasis", "1.5"],
-                                       ["--frame-ms", "10", "--hop-ms", "20"]],
-                             ids=["pre-emphasis", "framing"])
+                                       ["--frame-ms", "10", "--hop-ms", "20"],
+                                       ["--frame-ms", "inf"]],
+                             ids=["pre-emphasis", "framing", "frame-ms-inf"])
     def test_bad_front_end_exit_1_before_reading_audio(self, manifest_path, tmp_path,
                                                        capsys, monkeypatch, flags):
         def no_audio(*args, **kwargs):
@@ -322,8 +323,10 @@ class TestTypedFailures:
         assert code == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize("args", [["--seed", "-1"], ["--num-coeffs", "0"],
-                                      ["--num-coeffs", "27"], ["--config", {"log_floor": 0}]],
-                             ids=["seed", "num-coeffs-0", "num-coeffs-27", "log-floor"])
+                                      ["--num-coeffs", "27"], ["--config", {"log_floor": 0}],
+                                      ["--config", {"variance_floor": float("inf")}]],
+                             ids=["seed", "num-coeffs-0", "num-coeffs-27", "log-floor",
+                                  "variance-floor-Infinity"])
     def test_bad_config_train_gmm_exit_1_before_reading_audio(
             self, manifest_path, tmp_path, capsys, monkeypatch, args):
         def no_audio(*args, **kwargs):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from emosid.audio import AudioClip, FrameSet, frame_and_window, hamming_window
 from emosid.errors import ConfigError
 from emosid.features import (
+    FeatureMatrix,
     build_filterbank,
     default_fft_size,
     hz_to_mel,
@@ -212,3 +213,16 @@ class TestMfcc:
     def test_too_many_coeffs(self, bank):
         with pytest.raises(ConfigError):
             mfcc(self._frames(np.zeros(300)), bank, 27, 1e-10)
+
+
+def test_feature_matrix_data_is_read_only(rng):
+    """The memo of gmm.frame_scores is keyed on the object, so its frames
+    cannot be written through it; the caller's own array stays writeable."""
+    own = rng.standard_normal((5, 3))
+    fm = FeatureMatrix(own)
+    with pytest.raises(ValueError):
+        fm.data[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        fm.data += 1.0
+    assert own.flags.writeable and np.shares_memory(own, fm.data)
+    assert fm.data.tobytes() == own.tobytes()

@@ -1,11 +1,13 @@
 """Pipeline orchestration: feature extraction wiring, training, reports."""
 
+import math
+
 import numpy as np
 import pytest
 
-from emosid.audio import load_wav
+from emosid.audio import AudioClip, load_wav
 from emosid.corpus import SynthSpec, generate_synthetic
-from emosid.errors import ConfigError, ValidationError
+from emosid.errors import ConfigError, EmptyAudioError, ValidationError
 from emosid.evaluation import TrialRecord, sid_performance
 from emosid.pipeline import (
     PipelineConfig,
@@ -57,6 +59,23 @@ def test_entry_features_are_the_front_end(tmp_path):
 def test_config_validated_at_construction(field, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{field: value})
+
+
+FLOAT_FIELDS = ["pre_emphasis", "frame_ms", "hop_ms", "log_floor", "low_hz", "high_hz",
+                "variance_floor", "gmm_tol", "segment_overlap", "learning_rate", "lr_decay",
+                "snr_ratio"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", FLOAT_FIELDS + ["target_rate_hz"])
+def test_config_refuses_non_finite(field, value):
+    with pytest.raises(ConfigError, match="not finite"):
+        PipelineConfig(**{field: value})
+
+
+def test_empty_clip_is_a_typed_error():
+    with pytest.raises(EmptyAudioError):
+        extract_features(AudioClip(np.zeros(0), 16000), PipelineConfig())
 
 
 def test_t_test_samples_follow_manifest_repetition():
