@@ -52,10 +52,6 @@ class FrameSet:
     def num_frames(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def empty(self) -> bool:
-        return self.frames.shape[0] == 0
-
 
 @dataclass(frozen=True)
 class MixResult:
@@ -182,7 +178,7 @@ def frame_and_window(clip: AudioClip, frame_ms: float, hop_ms: float) -> FrameSe
     """Slice into overlapping frames and apply a Hamming window.
 
     A clip shorter than one frame yields an empty FrameSet rather than an
-    error; callers reject such utterances downstream.
+    error; pipeline.extract_features refuses such clips.
     """
     if frame_ms <= 0 or hop_ms <= 0 or hop_ms > frame_ms:
         raise ConfigError(f"bad framing: frame_ms={frame_ms}, hop_ms={hop_ms}")

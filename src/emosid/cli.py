@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import gmm as gmm_mod
 from . import pipeline
 from .corpus import SynthSpec, generate_synthetic, load_manifest, protocol_counts
 from .errors import ConfigError, EmosidError, ValidationError
-from .pipeline import PipelineConfig
+from .pipeline import FIELD_TYPES, PipelineConfig
 
 
 def _sizes(text: str) -> tuple:
@@ -40,7 +40,6 @@ _FLAGS = {
                            "const": False, "help": "feed raw likelihood vectors to the DNN"},
     "snr_mode": {"choices": audio_mod.MIX_MODES},
 }
-_FIELD_TYPES = typing.get_type_hints(PipelineConfig)  # every config field
 # the flags each subcommand reads; identify and evaluate take the front end
 # from the tag store
 _FRONT_END_FLAGS = ("target_rate_hz", "pre_emphasis", "frame_ms", "hop_ms",
@@ -55,7 +54,7 @@ _EVALUATE_FLAGS = _SEGMENT_FLAGS + ("seed", "snr_ratio", "snr_mode")
 def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     for name in names:
-        kwargs = dict(_FLAGS.get(name, {"type": _FIELD_TYPES[name]}))
+        kwargs = dict(_FLAGS.get(name, {"type": FIELD_TYPES[name]}))
         flag = kwargs.pop("flag", "--" + name.replace("_", "-"))
         parser.add_argument(flag, dest=name, default=None, **kwargs)
 
@@ -66,17 +65,19 @@ def _build_config(args, front_end=None) -> PipelineConfig:
     values = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(_FIELD_TYPES)
+            try:
+                file_cfg = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"{args.config}: bad JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: not a JSON object")
+        unknown = set(file_cfg) - set(FIELD_TYPES)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        pipeline.check_json_types(file_cfg)
         values.update(file_cfg)
-    values.update((name, getattr(args, name)) for name in _FIELD_TYPES
+    values.update((name, getattr(args, name)) for name in FIELD_TYPES
                   if getattr(args, name, None) is not None)
     values.update(front_end or {})
-    if "hidden_sizes" in values:
-        values["hidden_sizes"] = tuple(values["hidden_sizes"])
     return PipelineConfig(**values)
 
 
@@ -111,6 +112,11 @@ def cmd_validate_manifest(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _build_config(args)
     manifest = load_manifest(args.manifest)
+    names = [Path(e.path).stem + ".feat" for e in manifest.entries]
+    counts = Counter(names)
+    clashes = sorted(e.path for e, name in zip(manifest.entries, names) if counts[name] > 1)
+    if clashes:
+        raise ValidationError(f"entries would write the same feature file: {clashes}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bank = pipeline.build_bank(cfg)
@@ -118,8 +124,8 @@ def cmd_extract(args) -> int:
     written = skipped = 0
     if not manifest.entries:
         print("warning: empty manifest, nothing to extract", file=sys.stderr)
-    for e in manifest.entries:
-        dest = out_dir / (Path(e.path).stem + ".feat")
+    for e, name in zip(manifest.entries, names):
+        dest = out_dir / name
         if dest.exists() and not args.force:
             skipped += 1
             continue
@@ -296,12 +302,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ConfigError, FileNotFoundError) as exc:
+    except (EmosidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EmosidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ValidationError, ConfigError, OSError)) else 2
 
 
 if __name__ == "__main__":

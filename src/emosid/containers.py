@@ -23,7 +23,7 @@ from .errors import ConfigError, ContainerError, DimensionError, ValidationError
     VersionError
 from .features import FeatureMatrix
 from .gmm import TagStore
-from .pipeline import FRONT_END, PipelineConfig, check_json_types
+from .pipeline import FRONT_END, PipelineConfig
 
 FEATURE_MAGIC = b"SIDFEAT\0"
 TAGS_MAGIC = b"SIDTAGS\0"
@@ -123,7 +123,6 @@ def load_tag_store(blob: bytes) -> TagStore:
     front_end = header["front_end"]
     if not isinstance(front_end, dict) or set(front_end) != set(FRONT_END):
         raise ContainerError(f"tag header needs a front_end with exactly {FRONT_END}")
-    check_json_types(front_end)
     PipelineConfig(**front_end)
     k, m, d = header["shape"]
     weights, means, variances = _take_arrays(payload, [(k, m), (k, m, d), (k, m, d)])

@@ -94,17 +94,28 @@ def validate_manifest(manifest: Manifest) -> None:
         raise ValidationError("manifest validation failed:\n  " + "\n  ".join(problems))
 
 
+def _entry(where: str, row: dict) -> ManifestEntry:
+    ids = {}
+    for name in ("sentence_id", "repetition"):
+        try:  # through str, so that 1.5 and true are refused, not truncated
+            ids[name] = int(str(row[name]))
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {name} {row[name]!r} is not an integer") from exc
+    return ManifestEntry(path=str(row["path"]), speaker_id=str(row["speaker_id"]),
+                         emotion=str(row["emotion"]), split=str(row["split"]), **ids)
+
+
 def load_manifest(path) -> Manifest:
     """Read a JSON-lines or CSV manifest and validate it."""
     path = Path(path)
-    rows = []
+    entries = []
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in _REQUIRED_COLUMNS if c not in (reader.fieldnames or [])]
             if missing:
                 raise ValidationError(f"manifest missing columns: {missing}")
-            rows = list(reader)
+            entries = [_entry(f"line {reader.line_num}", row) for row in reader]
     else:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -115,15 +126,13 @@ def load_manifest(path) -> Manifest:
                     row = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"line {lineno}: bad JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    row = {}  # a line that is not an object has none of the fields
                 missing = [c for c in _REQUIRED_COLUMNS if c not in row]
                 if missing:
                     raise ValidationError(f"line {lineno}: missing fields {missing}")
-                rows.append(row)
+                entries.append(_entry(f"line {lineno}", row))
 
-    entries = [ManifestEntry(path=str(r["path"]), speaker_id=str(r["speaker_id"]),
-                             emotion=str(r["emotion"]), sentence_id=int(r["sentence_id"]),
-                             repetition=int(r["repetition"]), split=str(r["split"]))
-               for r in rows]
     manifest = Manifest(entries=entries)
     validate_manifest(manifest)
     return manifest

@@ -146,9 +146,6 @@ def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int, log_floor: floa
     base_meta.setdefault("num_filters", bank.num_filters)
     base_meta.setdefault("dct", "ortho-II")
 
-    if frames.empty:
-        return FeatureMatrix(data=np.zeros((0, num_coeffs)), meta=base_meta)
-
     energies = power_spectrum(frames.frames, bank.fft_size) @ bank.triangles.T
     log_energies = np.log(np.maximum(energies, log_floor))
     coeffs = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, :num_coeffs]

@@ -66,10 +66,18 @@ class PipelineConfig:
     snr_mode: str = "power"
 
     def __post_init__(self):
-        # a bad value fails here, not after reading audio or training
+        # a bad value or type fails here, not after reading audio or training
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} {value} not finite")
+            want = FIELD_TYPES[name]
+            if want is tuple:
+                ok = isinstance(value, (list, tuple)) and all(_json_is(v, int) for v in value)
+            else:
+                ok = any(_json_is(value, t) for t in typing.get_args(want) or (want,))
+            if not ok:
+                raise ConfigError(f"config key {name!r}: {value!r} is not {want}")
+        self.hidden_sizes = tuple(self.hidden_sizes)
         for ok, problem in [
                 (self.target_rate_hz >= 1000, f"target rate {self.target_rate_hz} below 1000 Hz"),
                 (0.0 <= self.pre_emphasis < 1.0,
@@ -113,6 +121,9 @@ class PipelineConfig:
         return {name: getattr(self, name) for name in FRONT_END}
 
 
+FIELD_TYPES = typing.get_type_hints(PipelineConfig)  # field -> annotated type
+
+
 def _json_is(value, typ) -> bool:
     """isinstance for a JSON value: 8 is a float, true is not a number."""
     if isinstance(value, bool):
@@ -120,25 +131,15 @@ def _json_is(value, typ) -> bool:
     return isinstance(value, (int, float) if typ is float else typ)
 
 
-def check_json_types(values: dict) -> None:
-    """Reject PipelineConfig values of the wrong JSON type; nothing is coerced."""
-    hints = typing.get_type_hints(PipelineConfig)
-    for name, value in values.items():
-        want = hints[name]
-        if want is tuple:  # hidden_sizes: a list of ints
-            ok = isinstance(value, list) and all(_json_is(v, int) for v in value)
-        else:
-            ok = any(_json_is(value, t) for t in typing.get_args(want) or (want,))
-        if not ok:
-            raise ConfigError(f"config key {name!r}: {value!r} is not {want}")
-
-
 def extract_features(clip: audio_mod.AudioClip, cfg: PipelineConfig,
                      bank: feat_mod.MelFilterbank | None = None) -> FeatureMatrix:
-    """Waveform -> MFCC matrix under the configured front end."""
+    """Waveform -> MFCC matrix under the configured front end. A clip shorter
+    than one frame is a ValidationError."""
     clip = audio_mod.resample(clip, cfg.target_rate_hz)
     clip = audio_mod.pre_emphasize(clip, cfg.pre_emphasis)
     frames = audio_mod.frame_and_window(clip, cfg.frame_ms, cfg.hop_ms)
+    if frames.num_frames == 0:
+        raise ValidationError(f"{clip.source_id}: shorter than one frame")
     if bank is None:
         bank = build_bank(cfg)
     meta = {"source_id": clip.source_id, "frame_ms": cfg.frame_ms, "hop_ms": cfg.hop_ms,
@@ -194,11 +195,7 @@ def train_features(manifest: Manifest, cfg: PipelineConfig) -> list:
     if not train_entries:
         raise ValidationError("manifest has no train entries")
     bank = build_bank(cfg)
-    train = [(e, load_entry_features(e, cfg, bank)) for e in train_entries]
-    for e, fm in train:
-        if fm.num_frames == 0:
-            raise ValidationError(f"{e.path}: shorter than one frame")
-    return train
+    return [(e, load_entry_features(e, cfg, bank)) for e in train_entries]
 
 
 def train_tags(manifest: Manifest, cfg: PipelineConfig, train=None) -> TagStore:
@@ -295,8 +292,6 @@ def evaluate_models(manifest: Manifest, models: TrainedModels, cfg: PipelineConf
     records = []
     for e in test_entries:
         fm = load_entry_features(e, cfg, bank, distort=distort)
-        if fm.num_frames == 0:
-            raise ValidationError(f"{e.path}: shorter than one frame")
         predicted = {}
         if "gmm" in modes:
             predicted["gmm"], _ = gmm_mod.gmm_identify(models.tag_store, fm)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour on a small synthetic corpus."""
 
+import csv
 import json
 import struct
 from pathlib import Path
@@ -375,3 +376,105 @@ class TestTypedFailures:
         code, _, err = run(capsys, "identify", "--wav", str(wav), "--tags", str(old),
                            "--dnn", str(model_dir / "cascade.siddnn"))
         assert code == 2 and "version 2" in err
+
+
+class BadInputs:
+    """Writes the bad inputs of the table below, each into tmp_path."""
+
+    def __init__(self, tmp_path, corpus_dir, model_dir):
+        self.tmp, self.out = tmp_path, str(tmp_path / "out")
+        self.corpus = str(corpus_dir / "manifest.jsonl")
+        self.rows = [json.loads(x) for x in Path(self.corpus).read_text().splitlines()]
+        self.models = ["--tags", str(model_dir / "tags.sidtags"),
+                       "--dnn", str(model_dir / "cascade.siddnn")]
+
+    def short_wav(self):
+        """100 samples at 12 kHz: shorter than one 25 ms frame."""
+        path = self.tmp / "short.wav"
+        audio.save_wav(path, audio.AudioClip(np.full(100, 0.1), 12000))
+        return str(path)
+
+    def manifest(self, row, name="m.jsonl", **changes):
+        """The corpus manifest with changes made to one row: rows 0 and 1 are
+        train entries, row 2 a test entry."""
+        rows = list(self.rows)
+        rows[row] = {**rows[row], **changes}
+        path = self.tmp / name
+        if path.suffix == ".csv":
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        else:
+            path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return str(path)
+
+    def colliding_manifest(self):
+        """Row 1 moved to b/<row 0's file name>: both would write one .feat."""
+        return self.manifest(1, path=str(self.tmp / "b" / Path(self.rows[0]["path"]).name))
+
+    def list_line_manifest(self):
+        """The corpus manifest and a last line that lists the field names."""
+        path = self.tmp / "m.jsonl"
+        path.write_text(Path(self.corpus).read_text() + json.dumps(list(self.rows[0])) + "\n")
+        return str(path)
+
+    def config(self, text):
+        path = self.tmp / "cfg.json"
+        path.write_text(text)
+        return ["--config", str(path)]
+
+
+# case -> (argv from a BadInputs, exit code, text the error names)
+BAD_INPUTS = {
+    "identify-short-wav": (lambda b: ["identify", "--wav", b.short_wav(), *b.models],
+                           1, "short.wav: shorter than one frame"),
+    "train-gmm-short-wav": (lambda b: ["train-gmm", "--manifest",
+                                       b.manifest(0, path=b.short_wav()), "--out", b.out],
+                            1, "short.wav: shorter than one frame"),
+    "evaluate-short-wav": (lambda b: ["evaluate", "--manifest",
+                                      b.manifest(2, path=b.short_wav()), *b.models,
+                                      "--modes", "cascade"],
+                           1, "short.wav: shorter than one frame"),
+    "extract-short-wav": (lambda b: ["extract", "--manifest",
+                                     b.manifest(0, path=b.short_wav()), "--out", b.out],
+                          2, "short.wav: shorter than one frame"),
+    "config-malformed": (lambda b: ["train", "--manifest", b.corpus, "--out", b.out,
+                                    *b.config('{"epochs": 5')], 1, "cfg.json: bad JSON"),
+    "config-not-object": (lambda b: ["train", "--manifest", b.corpus, "--out", b.out,
+                                     *b.config("5")], 1, "cfg.json: not a JSON object"),
+    "config-wrong-type": (lambda b: ["train", "--manifest", b.corpus, "--out", b.out,
+                                     *b.config('{"epochs": "5"}')], 1, "'epochs'"),
+    "identify-wav-dir": (lambda b: ["identify", "--wav", str(b.tmp), *b.models],
+                         1, "Is a directory"),
+    "identify-tags-dir": (lambda b: ["identify", "--wav", b.short_wav(), *b.models[2:],
+                                     "--tags", str(b.tmp)], 1, "Is a directory"),
+    "manifest-row-jsonl": (lambda b: ["validate-manifest", b.manifest(1, repetition="first")],
+                           1, "line 2: repetition 'first' is not an integer"),
+    "manifest-row-csv": (lambda b: ["validate-manifest",
+                                    b.manifest(1, "m.csv", sentence_id="one")],
+                         1, "line 3: sentence_id 'one' is not an integer"),
+    "manifest-list-line": (lambda b: ["validate-manifest", b.list_line_manifest()],
+                           1, "line 73: missing fields"),
+    "extract-colliding-stems": (lambda b: ["extract", "--manifest", b.colliding_manifest(),
+                                           "--out", b.out], 1, "same feature file"),
+}
+
+
+class TestBadInputs:
+    """Every bad input ends in its exit code with a message, never a traceback."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_exit_code_and_message(self, case, corpus_dir, model_dir, tmp_path, capsys):
+        argv, want_code, names = BAD_INPUTS[case]
+        code, out, err = run(capsys, *argv(BadInputs(tmp_path, corpus_dir, model_dir)))
+        assert code == want_code
+        assert "Traceback" not in err
+        written = {p.name for p in (tmp_path / "out").rglob("*")}
+        if code == 2:  # extract reports each failed entry and writes the rest
+            failures = json.loads(out)["failures"]
+            assert len(failures) == 1 and names in failures[0]["error"]
+            assert len(written) == 71 and "short.feat" not in written
+        else:
+            assert err.startswith("error:") and names in err
+            assert not written

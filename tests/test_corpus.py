@@ -1,6 +1,7 @@
 """Manifests and the synthetic corpus generator."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,30 @@ class TestLoadManifest:
         p = tmp_path / "m.jsonl"
         p.write_text("{broken\n")
         with pytest.raises(ValidationError, match="line 1"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("value", ["first", None, 1e400, [1], 1.5, True], ids=repr)
+    def test_bad_integer_field_jsonl(self, tmp_path, value):
+        rows = [asdict(entry()), dict(asdict(entry(split="test")), repetition=value)]
+        p = tmp_path / "m.jsonl"
+        p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ValidationError, match="^line 2: repetition .* is not an integer"):
+            load_manifest(p)
+
+    def test_bad_integer_field_csv(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("path,speaker_id,emotion,sentence_id,repetition,split\n"
+                     "a.wav,spk00,neutral,0,0,train\n"
+                     "b.wav,spk00,neutral,one,0,test\n")
+        with pytest.raises(ValidationError, match="^line 3: sentence_id 'one' is not"):
+            load_manifest(p)
+
+    @pytest.mark.parametrize("line", [["path", "speaker_id", "emotion", "sentence_id",
+                                       "repetition", "split"], 5, "path"], ids=repr)
+    def test_line_not_an_object_misses_every_field(self, tmp_path, line):
+        p = tmp_path / "m.jsonl"
+        p.write_text(json.dumps(line) + "\n")
+        with pytest.raises(ValidationError, match="line 1: missing fields"):
             load_manifest(p)
 
 

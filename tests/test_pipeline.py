@@ -78,6 +78,26 @@ def test_empty_clip_is_a_typed_error():
         extract_features(AudioClip(np.zeros(0), 16000), PipelineConfig())
 
 
+def test_clip_shorter_than_one_frame_is_a_validation_error():
+    clip = AudioClip(np.full(100, 0.1), 12000, source_id="short.wav")
+    with pytest.raises(ValidationError, match="^short.wav: shorter than one frame$"):
+        extract_features(clip, PipelineConfig())
+
+
+@pytest.mark.parametrize("field, value", [("mixtures", 8.0), ("epochs", "5"), ("seed", 1.5),
+                                          ("hidden_sizes", (128.0,)), ("hidden_sizes", 128),
+                                          ("standardize_inputs", 1), ("learning_rate", True),
+                                          ("fft_size", 512.0), ("snr_mode", None)])
+def test_config_refuses_wrong_type(field, value):
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        PipelineConfig(**{field: value})
+
+
+def test_config_takes_json_forms():
+    cfg = PipelineConfig(hidden_sizes=[64, 32], learning_rate=1, fft_size=None)
+    assert cfg.hidden_sizes == (64, 32) and cfg.learning_rate == 1
+
+
 def test_t_test_samples_follow_manifest_repetition():
     """Samples are rates per manifest repetition, whatever the paths look like:
     here '_r' appears in the directory name and in no file name."""
