@@ -8,12 +8,13 @@ state between calls.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from .errors import (
     AudioFormatError,
@@ -143,6 +144,16 @@ def save_wav(path, clip: AudioClip) -> None:
         fh.write(body)
 
 
+@functools.lru_cache(maxsize=16)
+def _resample_filter(up: int, down: int) -> np.ndarray:
+    """resample_poly's default low-pass for up/down, designed once and read-only
+    (resample_poly copies a given window before scaling it by up)."""
+    max_rate = max(up, down)
+    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
+
+
 def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     """Rate-convert with polyphase filtering (anti-aliased on downsampling)."""
     if target_rate_hz < 1000:
@@ -150,7 +161,10 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     if target_rate_hz == clip.sample_rate_hz:
         return clip
     ratio = Fraction(target_rate_hz, clip.sample_rate_hz)
-    out = resample_poly(clip.samples, ratio.numerator, ratio.denominator)
+    up, down = ratio.numerator, ratio.denominator
+    # the cached design is float64, as scipy's own is for float64 samples
+    window = _resample_filter(up, down) if clip.samples.dtype == np.float64 else ("kaiser", 5.0)
+    out = resample_poly(clip.samples, up, down, window=window)
     return AudioClip(samples=out, sample_rate_hz=target_rate_hz, source_id=clip.source_id)
 
 

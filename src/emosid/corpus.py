@@ -11,13 +11,14 @@ byte-reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import butter, lfilter
 
 from .audio import AudioClip, save_wav
 from .errors import ValidationError
@@ -106,32 +107,35 @@ def _entry(where: str, row: dict) -> ManifestEntry:
 
 
 def load_manifest(path) -> Manifest:
-    """Read a JSON-lines or CSV manifest and validate it."""
+    """Read a JSON-lines or CSV manifest (UTF-8) and validate it."""
     path = Path(path)
     entries = []
-    if path.suffix.lower() == ".csv":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in _REQUIRED_COLUMNS if c not in (reader.fieldnames or [])]
-            if missing:
-                raise ValidationError(f"manifest missing columns: {missing}")
-            entries = [_entry(f"line {reader.line_num}", row) for row in reader]
-    else:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"line {lineno}: bad JSON: {exc}") from exc
-                if not isinstance(row, dict):
-                    row = {}  # a line that is not an object has none of the fields
-                missing = [c for c in _REQUIRED_COLUMNS if c not in row]
+    try:
+        if path.suffix.lower() == ".csv":
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                missing = [c for c in _REQUIRED_COLUMNS if c not in (reader.fieldnames or [])]
                 if missing:
-                    raise ValidationError(f"line {lineno}: missing fields {missing}")
-                entries.append(_entry(f"line {lineno}", row))
+                    raise ValidationError(f"manifest missing columns: {missing}")
+                entries = [_entry(f"line {reader.line_num}", row) for row in reader]
+        else:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        row = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValidationError(f"line {lineno}: bad JSON: {exc}") from exc
+                    if not isinstance(row, dict):
+                        row = {}  # a line that is not an object has none of the fields
+                    missing = [c for c in _REQUIRED_COLUMNS if c not in row]
+                    if missing:
+                        raise ValidationError(f"line {lineno}: missing fields {missing}")
+                    entries.append(_entry(f"line {lineno}", row))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
 
     manifest = Manifest(entries=entries)
     validate_manifest(manifest)
@@ -328,6 +332,14 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> Manifest:
     return manifest
 
 
+@functools.lru_cache(maxsize=8)
+def _rumble_filter(sample_rate_hz: int):
+    """The 4th-order 150 Hz Butterworth low-pass (b, a) at one rate, read-only."""
+    b, a = butter(4, 150.0 / (sample_rate_hz / 2.0), btype="low")
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 def interference_clip(length: int, sample_rate_hz: int, seed) -> AudioClip:
     """Deterministic interference for the noise-stress experiment.
 
@@ -335,11 +347,9 @@ def interference_clip(length: int, sample_rate_hz: int, seed) -> AudioClip:
     real power at the requested mixing ratio but only partially masks the
     speech band, in the spirit of the mild degradation the protocol probes.
     """
-    from scipy.signal import butter
-
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(length + 256)
-    b, a = butter(4, 150.0 / (sample_rate_hz / 2.0), btype="low")
+    b, a = _rumble_filter(sample_rate_hz)
     rumble = lfilter(b, a, white)[256:]
     noise = rumble / np.sqrt(np.mean(rumble ** 2)) \
         + 0.2 * rng.standard_normal(length)

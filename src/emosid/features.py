@@ -46,8 +46,12 @@ def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > fft_size:
         raise ConfigError(f"fft_size {fft_size} smaller than frame length {frame.shape[-1]}")
-    spec = np.fft.rfft(frame, n=fft_size)
-    return (spec.real ** 2 + spec.imag ** 2) / fft_size
+    spec = np.ascontiguousarray(np.fft.rfft(frame, n=fft_size))
+    squares = spec.view(np.float64)  # re, im interleaved
+    np.multiply(squares, squares, out=squares)
+    power = np.add(squares[..., 0::2], squares[..., 1::2])
+    power /= fft_size
+    return power
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import typing
@@ -148,12 +149,21 @@ def extract_features(clip: audio_mod.AudioClip, cfg: PipelineConfig,
 
 
 def build_bank(cfg: PipelineConfig) -> feat_mod.MelFilterbank:
-    frame_len = int(round(cfg.frame_ms * cfg.target_rate_hz / 1000.0))
-    fft_size = feat_mod.default_fft_size(frame_len) if cfg.fft_size is None else cfg.fft_size
+    """The Mel filterbank of cfg's front end; built once per FRONT_END values."""
+    return _bank(**cfg.front_end())
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _bank(*, target_rate_hz, frame_ms, num_filters, fft_size, low_hz, high_hz,
+          **_unread) -> feat_mod.MelFilterbank:
+    frame_len = int(round(frame_ms * target_rate_hz / 1000.0))
+    fft_size = feat_mod.default_fft_size(frame_len) if fft_size is None else fft_size
     if fft_size < frame_len:
         raise ConfigError(f"fft_size {fft_size} smaller than frame length {frame_len}")
-    return feat_mod.build_filterbank(cfg.num_filters, cfg.target_rate_hz, fft_size,
-                                     cfg.low_hz, cfg.high_hz)
+    bank = feat_mod.build_filterbank(num_filters, target_rate_hz, fft_size, low_hz, high_hz)
+    for array in (bank.triangles, bank.boundaries_hz, bank.boundary_bins):
+        array.flags.writeable = False
+    return bank
 
 
 def _distort(clip: audio_mod.AudioClip, cfg: PipelineConfig, entry) -> audio_mod.AudioClip:

@@ -9,6 +9,8 @@ import pytest
 from emosid.audio import AudioClip
 from emosid.containers import TAGS_MAGIC
 from emosid.corpus import SynthSpec, generate_synthetic
+from emosid.dnn import gradients, init_model
+from emosid.errors import DivergenceError
 from emosid.gmm import GmmTag, TagStore
 from emosid.pipeline import PipelineConfig
 
@@ -65,6 +67,38 @@ def v2_tag_store(store):
     arrays = (store.weights, store.means, store.variances)
     return (TAGS_MAGIC + struct.pack("<II", 2, len(head)) + head
             + b"".join(a.astype("<f8").tobytes() for a in arrays))
+
+
+def reference_train(inputs, labels, hidden_sizes, output_size, *, learning_rate, epochs,
+                    batch_size, lr_decay, seed, input_standardization=None):
+    """dnn.train as one call of dnn.gradients per batch: the oracle the flat-buffer
+    loop must match byte for byte."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    model = init_model(inputs.shape[1], hidden_sizes, output_size,
+                       seed=seed, input_standardization=input_standardization)
+    rng = np.random.default_rng((seed, 0x5D))
+    lr = learning_rate
+    n = len(inputs)
+    epoch_losses = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            loss, grad_w, grad_b = gradients(model, inputs[idx], labels[idx])
+            if not np.isfinite(loss):
+                raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
+            for k in range(len(model.weights)):
+                model.weights[k] -= lr * grad_w[k]
+                model.biases[k] -= lr * grad_b[k]
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)))
+        lr *= lr_decay
+    model.train_meta = {"epochs": epochs, "learning_rate": learning_rate,
+                        "lr_decay": lr_decay, "batch_size": batch_size, "seed": seed,
+                        "final_loss": epoch_losses[-1], "epoch_losses": epoch_losses}
+    return model
 
 
 @pytest.fixture(scope="session")

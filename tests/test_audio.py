@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter
+from scipy.signal import lfilter, resample_poly
 
 from emosid.audio import (
     AudioClip,
     frame_and_window,
     hamming_window,
+    _resample_filter,
     load_wav,
     mix_interference,
     pre_emphasize,
@@ -22,6 +23,7 @@ from emosid.errors import (
     AudioFormatError,
     ConfigError,
     DegenerateNoiseError,
+    EmosidError,
     EmptyAudioError,
     RateMismatchError,
     UnsupportedCodecError,
@@ -112,6 +114,33 @@ class TestLoadWav:
         np.testing.assert_allclose(back.samples, clip.samples, atol=1.0 / 32767)
 
 
+def _mangled_wav(args):
+    """A valid WAV with one byte overwritten, cut after `cut` bytes."""
+    frames, channels, audio_format, bits, pos, byte, cut = args
+    data = bytearray(_wav_bytes(frames, channels=channels, audio_format=audio_format,
+                                bits=bits))
+    if pos < len(data):
+        data[pos] = byte
+    return bytes(data[:cut])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=80),
+    st.tuples(st.lists(st.integers(-32768, 32767), max_size=8), st.integers(1, 3),
+              st.sampled_from([1, 2, 3]), st.sampled_from([8, 16, 32]),
+              st.integers(0, 80), st.integers(0, 255), st.integers(0, 80)).map(_mangled_wav)))
+def test_load_wav_raises_only_emosid_errors(tmp_path_factory, data):
+    """Random bytes and mangled or truncated WAVs load, or raise an EmosidError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+    path.write_bytes(data)
+    try:
+        clip = load_wav(path)
+    except EmosidError:
+        return
+    assert len(clip.samples) > 0 and np.all(np.abs(clip.samples) <= 1.0)
+
+
 class TestResample:
     def test_identity_at_same_rate(self):
         clip = sine_clip(100, 12000)
@@ -144,6 +173,24 @@ class TestResample:
     def test_rate_too_low(self):
         with pytest.raises(ConfigError):
             resample(sine_clip(100, 8000), 500)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rate=st.sampled_from([8000, 16000, 22050, 44100]), length=st.integers(1, 3000),
+           seed=st.integers(0, 2**16), dtype=st.sampled_from([np.float64, np.float32]))
+    def test_cached_filter_matches_resample_poly(self, rate, length, seed, dtype):
+        """The filter designed once per (up, down) gives resample_poly's default
+        output byte for byte, in the samples' dtype."""
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, length).astype(dtype)
+        out = resample(AudioClip(samples=x, sample_rate_hz=rate), 12000)
+        up, down = 12000 // np.gcd(12000, rate), rate // np.gcd(12000, rate)
+        want = resample_poly(x, up, down)
+        assert out.samples.dtype == want.dtype and out.samples.tobytes() == want.tobytes()
+
+    def test_cached_filter_is_read_only(self):
+        h = _resample_filter(3, 4)
+        assert h is _resample_filter(3, 4) and not h.flags.writeable
+        resample(sine_clip(100, 16000), 12000)
+        np.testing.assert_array_equal(h, _resample_filter.__wrapped__(3, 4))
 
 
 class TestPreEmphasis:

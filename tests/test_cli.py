@@ -419,6 +419,11 @@ class BadInputs:
         path.write_text(Path(self.corpus).read_text() + json.dumps(list(self.rows[0])) + "\n")
         return str(path)
 
+    def raw(self, name, data):
+        path = self.tmp / name
+        path.write_bytes(data)
+        return str(path)
+
     def config(self, text):
         path = self.tmp / "cfg.json"
         path.write_text(text)
@@ -456,6 +461,12 @@ BAD_INPUTS = {
                          1, "line 3: sentence_id 'one' is not an integer"),
     "manifest-list-line": (lambda b: ["validate-manifest", b.list_line_manifest()],
                            1, "line 73: missing fields"),
+    "manifest-not-utf8-jsonl": (lambda b: ["validate-manifest",
+                                           b.raw("m.jsonl", b'\xff\xfe{"a": 1}\n')],
+                                1, "m.jsonl: not UTF-8"),
+    "manifest-not-utf8-csv": (lambda b: ["validate-manifest",
+                                         b.raw("m.csv", b"path,speaker_id\n\xff\n")],
+                              1, "m.csv: not UTF-8"),
     "extract-colliding-stems": (lambda b: ["extract", "--manifest", b.colliding_manifest(),
                                            "--out", b.out], 1, "same feature file"),
 }

@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scipy.signal import butter
+
 from emosid.corpus import (
     EMOTIONS,
+    _rumble_filter,
     Manifest,
     ManifestEntry,
     SynthSpec,
@@ -219,6 +222,13 @@ class TestInterference:
         np.testing.assert_array_equal(a.samples, b.samples)
         assert abs(np.max(np.abs(a.samples)) - 1.0) < 1e-12
         assert len(a.samples) == 4000
+
+    def test_filter_designed_once_read_only(self):
+        b, a = _rumble_filter(12000)
+        assert (b, a) == _rumble_filter(12000)
+        assert not b.flags.writeable and not a.flags.writeable
+        want_b, want_a = butter(4, 150.0 / 6000.0, btype="low")
+        assert b.tobytes() == want_b.tobytes() and a.tobytes() == want_a.tobytes()
 
     def test_mostly_low_frequency(self):
         clip = interference_clip(12000, 12000, (9,))

@@ -16,6 +16,8 @@ from emosid.dnn import (
 from emosid.errors import ConfigError, DimensionError, DivergenceError
 from emosid.pipeline import PipelineConfig
 
+from conftest import reference_train
+
 
 class TestRelu:
     def test_negative(self):
@@ -194,3 +196,54 @@ class TestTrain:
             PipelineConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
             PipelineConfig(lr_decay=0.0)
+
+
+# case -> (rows, input width, batch size, hidden sizes, standardized inputs)
+REFERENCE_CASES = {
+    "last-partial-batch": (70, 5, 32, (16, 16), True),
+    "batch-of-one": (65, 5, 32, (16, 16), True),
+    "batch-covers-set": (20, 5, 32, (16, 16), True),
+    "unstandardized": (70, 5, 32, (16, 16), False),
+    "one-hidden-layer": (70, 5, 32, (16,), True),
+    "no-hidden-layer": (70, 5, 32, (), True),
+    "likelihood-vector-width": (70, 60, 32, (128, 128, 128, 128), True),
+    "pooled-stats-width": (70, 26, 32, (128, 128, 128, 128), True),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_train_matches_gradients_loop_byte_for_byte(case):
+    """The flat-buffer SGD loop and a loop over dnn.gradients give the same
+    weights, biases and train_meta, bit for bit."""
+    n, width, batch, hidden, standardized = REFERENCE_CASES[case]
+    rng = np.random.default_rng(n * width)
+    x = rng.standard_normal((n, width)) * 3.0 + 1.0
+    y = rng.integers(0, 10, n)
+    std = (x.mean(axis=0), x.std(axis=0)) if standardized else None
+    sgd = dict(learning_rate=0.3, epochs=4, batch_size=batch, lr_decay=0.98, seed=7,
+               input_standardization=std)
+    got = train(x, y, hidden, 10, **sgd)
+    want = reference_train(x, y, hidden, 10, **sgd)
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.train_meta == want.train_meta
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_divergence_epoch_matches_gradients_loop(rng):
+    x = rng.standard_normal((40, 3)) * 100
+    y = rng.integers(0, 2, 40)
+    sgd = dict(learning_rate=1e6, epochs=20, batch_size=32, lr_decay=0.98, seed=0)
+    with pytest.raises(DivergenceError) as want:
+        reference_train(x, y, (8,), 2, **sgd)
+    with pytest.raises(DivergenceError) as got:
+        train(x, y, (8,), 2, **sgd)
+    assert str(got.value) == str(want.value)
+
+
+def test_train_refuses_non_finite_input():
+    x = np.zeros((4, 2))
+    x[3, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        train(x, np.zeros(4, dtype=int), (4,), 2, learning_rate=0.1, epochs=1,
+              batch_size=2, lr_decay=1.0, seed=0)

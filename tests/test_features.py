@@ -110,6 +110,26 @@ class TestPowerSpectrum:
         slow = direct_dft_power(frame, 256)
         assert abs(fast.sum() - slow.sum()) <= 1e-6 * slow.sum()
 
+    @settings(max_examples=60, deadline=None)
+    @given(log_fft=st.integers(0, 10), frame_frac=st.floats(0.0, 1.0),
+           rows=st.integers(0, 6), seed=st.integers(0, 2**16),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    def test_bytes_match_rfft_real_imag(self, log_fft, frame_frac, rows, seed, layout):
+        """The in-place squaring gives (re**2 + im**2) / fft_size byte for byte,
+        for one frame (rows 0) or a frame per row, in any memory layout."""
+        fft_size = 2 ** log_fft
+        frame_len = int(frame_frac * fft_size)
+        shape = (frame_len,) if rows == 0 else (rows, frame_len)
+        frame = np.random.default_rng(seed).standard_normal(shape)
+        if layout == "F":
+            frame = np.asfortranarray(frame)
+        elif layout == "strided":
+            frame = np.repeat(frame, 2, axis=-1)[..., ::2]
+        spec = np.fft.rfft(frame, n=fft_size)
+        want = (spec.real ** 2 + spec.imag ** 2) / fft_size
+        got = power_spectrum(frame, fft_size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
             power_spectrum(np.zeros(10), 100)

@@ -11,6 +11,7 @@ from emosid.errors import ConfigError, EmptyAudioError, ValidationError
 from emosid.evaluation import TrialRecord, sid_performance
 from emosid.pipeline import (
     PipelineConfig,
+    build_bank,
     evaluate_models,
     evaluation_report,
     extract_features,
@@ -28,6 +29,14 @@ def trained(tmp_path_factory):
     cfg = PipelineConfig(seed=3, epochs=40)
     models = train_models(manifest, cfg)
     return manifest, cfg, models
+
+
+def test_bank_built_once_per_front_end_and_read_only():
+    bank = build_bank(PipelineConfig())
+    assert build_bank(PipelineConfig(epochs=3)) is bank  # same front end
+    assert build_bank(PipelineConfig(num_filters=30)) is not bank
+    for array in (bank.triangles, bank.boundaries_hz, bank.boundary_bins):
+        assert not array.flags.writeable
 
 
 def test_entry_features_are_the_front_end(tmp_path):
