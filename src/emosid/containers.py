@@ -165,6 +165,8 @@ def load_dnn(blob: bytes) -> DnnModel:
         shapes += [tuple(shp), (shp[1],)]
     arrays = _take_arrays(payload, shapes)
     standardization = tuple(arrays[:2]) if header["standardized"] else None
+    if standardization is not None and not (standardization[1] > 0).all():
+        raise ContainerError("input standardization std must be positive")
     layers = arrays[2:] if header["standardized"] else arrays
     return DnnModel(weights=layers[0::2], biases=layers[1::2],
                     input_standardization=standardization,

@@ -5,9 +5,9 @@ evaluated in the log domain; mixture likelihoods use log-sum-exp so that
 far-out frames never underflow to -inf.
 
 A ``TagStore`` holds all tags as stacked (K, M, D) arrays in roster order.
-``frame_scores`` scores an utterance against every tag of a store at once;
-``score_utterance`` scores it against one tag and is the reference the
-stacked kernel is tested against, bit for bit.
+``frame_scores`` scores an utterance against every tag of a store at once,
+``score_utterance`` against one tag; they agree to 1e-14 relative, and bit
+for bit where both matrix products tile alike (8 or 16 mixtures, not 9).
 
 Scores are shared per (store, ``FeatureMatrix``) pair: a store keeps the
 matrix of the last ``FeatureMatrix`` it scored, so the cascade and GMM-alone
@@ -47,64 +47,60 @@ class GmmTag:
         return self.means.shape[1]
 
 
-def _pairwise_sum(parts):
-    """Sum of equal-shape arrays, added in the order in which numpy's pairwise
-    summation adds the elements of one n-element row: one by one below 8,
+def _logsumexp_planes(planes: np.ndarray) -> np.ndarray:
+    """log(sum(exp(planes))) over the leading axis of a C-contiguous (M, ...)
+    buffer, which it overwrites; the result is planes[0].
+
+    The float operations are those of scipy.special.logsumexp (scipy 1.17)
+    along a contiguous axis, in its order: the maximum is taken out, the
+    entries equal to it are left out of the shifted sum and their count is
+    added back as log(count). Each step is one pass over whole planes."""
+    amax = np.maximum.reduce(planes, axis=0)
+    count = np.zeros_like(amax)
+    tie = np.empty(amax.shape, dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for p in planes:
+            np.equal(p, amax, out=tie)
+            count += tie
+            p -= amax
+            np.exp(p, out=p)
+            np.copyto(p, 0.0, where=tie)
+        s = _pairwise_into_first(planes)
+        s /= count
+        np.log1p(s, out=s)
+        s += np.log(count, out=count)
+        s += amax
+    # rows whose maximum is +-inf or nan (a nan row counts no tie): scipy's
+    # fallback, log(sum(exp(row))), equals that maximum there
+    np.copyto(s, amax, where=~np.isfinite(amax))
+    return s
+
+
+def _pairwise_into_first(planes: np.ndarray) -> np.ndarray:
+    """Sum planes into planes[0] in the order in which numpy's pairwise
+    summation adds the n elements of a contiguous row: one by one below 8,
     eight running sums combined as a tree up to 128, halves above that."""
-    n = len(parts)
-    if n < 8:
-        total = parts[0].copy()
-        for p in parts[1:]:
-            total += p
-        return total
+    n = len(planes)
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(parts[:half]) + _pairwise_sum(parts[half:])
-    acc = [p.copy() for p in parts[:8]]
-    for i in range(8, n - n % 8, 8):
-        for j in range(8):
-            acc[j] += parts[i + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for p in parts[n - n % 8:]:
-        total += p
-    return total
+        return np.add(_pairwise_into_first(planes[:half]),
+                      _pairwise_into_first(planes[half:]), out=planes[0])
+    tail = n - n % 8 if n >= 8 else 1
+    for i in range(8, tail, 8):
+        planes[:8] += planes[i:i + 8]
+    for step in (1, 2, 4) if n >= 8 else ():
+        planes[0:8:2 * step] += planes[step:8:2 * step]
+    for p in planes[tail:]:
+        planes[0] += p
+    return planes[0]
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along one axis.
-
-    Repeats the float operations of scipy.special.logsumexp (scipy 1.17) in
-    its order, so results agree with it bit for bit, without its per-call
-    overhead: the maximum is taken out, the entries equal to it are left out
-    of the shifted sum and their count is added back as log(count). The
-    reduction runs as elementwise operations over slices along the axis,
-    which is much faster than numpy's reductions over a short axis.
-    """
-    parts = list(np.moveaxis(a, axis, 0))
-    amax = parts[0].copy()
-    for p in parts[1:]:
-        np.maximum(amax, p, out=amax)
-    count = np.zeros_like(amax)
-    shifted = []
-    with np.errstate(invalid="ignore"):
-        for p in parts:
-            tie = p == amax
-            count += tie
-            e = np.subtract(p, amax)
-            np.exp(e, out=e)
-            e *= ~tie
-            shifted.append(e)
-        s = _pairwise_sum(shifted)
-        s /= count
-        out = np.log1p(s)
-        out += np.log(count)
-        out += amax
-    finite = np.isfinite(amax)
-    if not finite.all():
-        # rows whose maximum is +-inf or nan; scipy's fallback,
-        # log(sum(exp(row))), equals that maximum there
-        out = np.where(finite, out, amax)
-    return out
+    """log(sum(exp(a))) along one axis, on a copy. Along the last axis it
+    equals scipy.special.logsumexp bit for bit; along another, the sum still
+    runs in the pairwise order of a contiguous row, while scipy's strided
+    sum does not, so rows with ties or -inf entries can differ in last bits."""
+    return _logsumexp_planes(np.moveaxis(a, axis, 0).copy())
 
 
 def _component_terms(means: np.ndarray, variances: np.ndarray):
@@ -289,11 +285,12 @@ class TagStore:
 def frame_scores(store: TagStore, features) -> np.ndarray:
     """Log-likelihood of every frame under every tag, as a (K, T) matrix.
 
-    Row k is tag k in roster order and is contiguous; it equals
-    ``log_mixture_density(tag_k, data)`` bit for bit. For a ``FeatureMatrix``
-    the matrix is read-only and kept on the store until another
-    ``FeatureMatrix`` is scored: a second call on the same object returns it.
-    """
+    Row k is tag k in roster order and is contiguous. It matches
+    ``log_mixture_density(tag_k, data)`` to 1e-14 relative, with the same
+    bytes when the (T, M*K) and (T, M) products tile alike, as at 8 and 16
+    mixtures. For a ``FeatureMatrix`` the matrix is read-only and kept on the
+    store until another ``FeatureMatrix`` is scored: a second call on the
+    same object returns it."""
     if not isinstance(features, FeatureMatrix):
         return _score(store, features)
     # one read and one write of the entry: concurrent callers may each score
@@ -308,11 +305,12 @@ def frame_scores(store: TagStore, features) -> np.ndarray:
 
 
 def _score(store: TagStore, data) -> np.ndarray:
-    """``frame_scores`` without the memo. The whole utterance is scored with
-    one pair of matrix products and one log-sum-exp: the float operations are
-    those of ``log_component_densities`` in the same order, done in place.
-    Splitting the frames into blocks would change the BLAS kernel shapes, and
-    with them some last bits."""
+    """``frame_scores`` without the memo: one pair of matrix products over
+    all M*K columns, the float operations of ``log_component_densities`` in
+    place, the last written transposed into component-major (M, T, K) planes,
+    and one log-sum-exp over the planes. Elementwise passes keep their bytes
+    in any layout; the products do not: blocks of frames, a transposed product
+    or one product per component change the BLAS kernel shapes and last bits."""
     x = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if x.shape[0] == 0:
         raise EmptyUtteranceError("cannot score an utterance with no frames")
@@ -322,13 +320,13 @@ def _score(store: TagStore, data) -> np.ndarray:
     cross = x @ store._mean_inv.T
     cross *= 2.0
     logp -= cross
-    del cross
     logp += store._mean2_inv
     logp *= 0.5
     np.subtract(store._const, logp, out=logp)
-    logp += store._log_w
-    per_frame = _logsumexp(logp.reshape(len(x), -1, len(store)), axis=1)  # (T, K)
-    return np.ascontiguousarray(per_frame.T)
+    t, k = len(x), len(store)
+    planes = cross.reshape(-1, t, k)  # cross's buffer; component j is planes[j]
+    np.add(logp.reshape(t, -1, k).swapaxes(0, 1), store._log_w.reshape(-1, 1, k), out=planes)
+    return np.ascontiguousarray(_logsumexp_planes(planes).T)
 
 
 def gmm_identify(store: TagStore, features):

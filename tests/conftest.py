@@ -11,6 +11,7 @@ from emosid.containers import TAGS_MAGIC
 from emosid.corpus import SynthSpec, generate_synthetic
 from emosid.dnn import gradients, init_model
 from emosid.errors import DivergenceError
+from emosid.errors import DimensionError, EmptyUtteranceError
 from emosid.gmm import GmmTag, TagStore
 from emosid.pipeline import PipelineConfig
 
@@ -99,6 +100,79 @@ def reference_train(inputs, labels, hidden_sizes, output_size, *, learning_rate,
                         "lr_decay": lr_decay, "batch_size": batch_size, "seed": seed,
                         "final_loss": epoch_losses[-1], "epoch_losses": epoch_losses}
     return model
+
+
+def reference_pairwise_sum(parts):
+    """Sum of equal-shape arrays, added in the order in which numpy's pairwise
+    summation adds the elements of one n-element row: one by one below 8,
+    eight running sums combined as a tree up to 128, halves above that."""
+    n = len(parts)
+    if n < 8:
+        total = parts[0].copy()
+        for p in parts[1:]:
+            total += p
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return reference_pairwise_sum(parts[:half]) + reference_pairwise_sum(parts[half:])
+    acc = [p.copy() for p in parts[:8]]
+    for i in range(8, n - n % 8, 8):
+        for j in range(8):
+            acc[j] += parts[i + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for p in parts[n - n % 8:]:
+        total += p
+    return total
+
+
+def reference_logsumexp(a, axis=-1):
+    """log(sum(exp(a))) along one axis, as a loop over the strided slices of
+    that axis: the log-sum-exp that gmm's plane kernel must match byte for
+    byte."""
+    parts = list(np.moveaxis(a, axis, 0))
+    amax = parts[0].copy()
+    for p in parts[1:]:
+        np.maximum(amax, p, out=amax)
+    count = np.zeros_like(amax)
+    shifted = []
+    with np.errstate(invalid="ignore"):
+        for p in parts:
+            tie = p == amax
+            count += tie
+            e = np.subtract(p, amax)
+            np.exp(e, out=e)
+            e *= ~tie
+            shifted.append(e)
+        s = reference_pairwise_sum(shifted)
+        s /= count
+        out = np.log1p(s)
+        out += np.log(count)
+        out += amax
+    finite = np.isfinite(amax)
+    if not finite.all():
+        out = np.where(finite, out, amax)
+    return out
+
+
+def reference_score(store, data):
+    """gmm.frame_scores without the memo, reduced over strided (T, K) slices
+    of the (T, M*K) matrix: the oracle for the component-major kernel."""
+    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if x.shape[0] == 0:
+        raise EmptyUtteranceError("cannot score an utterance with no frames")
+    if x.shape[1] != store.dim:
+        raise DimensionError(f"feature dim {x.shape[1]} != store dim {store.dim}")
+    logp = (x ** 2) @ store._inv.T  # (T, M*K)
+    cross = x @ store._mean_inv.T
+    cross *= 2.0
+    logp -= cross
+    del cross
+    logp += store._mean2_inv
+    logp *= 0.5
+    np.subtract(store._const, logp, out=logp)
+    logp += store._log_w
+    per_frame = reference_logsumexp(logp.reshape(len(x), -1, len(store)), axis=1)  # (T, K)
+    return np.ascontiguousarray(per_frame.T)
 
 
 @pytest.fixture(scope="session")

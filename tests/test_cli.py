@@ -357,6 +357,19 @@ class TestTypedFailures:
                            "--out", str(tmp_path / "x"), "--config", str(cfg_path))
         assert code == 1 and err.startswith("error:") and next(iter(values)) in err
 
+    def test_non_positive_std_dnn_identify_exit_2(self, corpus_dir, model_dir, tmp_path,
+                                                  capsys):
+        net = containers.load_dnn((model_dir / "cascade.siddnn").read_bytes())
+        mean, std = net.input_standardization
+        net.input_standardization = (mean, np.where(np.arange(len(std)) == 2, 0.0, std))
+        bad = tmp_path / "bad.siddnn"
+        bad.write_bytes(containers.save_dnn(net))
+        wav = sorted(corpus_dir.glob("spk00_neutral_s2_*.wav"))[0]
+        code, out, err = run(capsys, "identify", "--wav", str(wav),
+                             "--tags", str(model_dir / "tags.sidtags"), "--dnn", str(bad))
+        assert code == 2 and not out and "Traceback" not in err
+        assert err.startswith("error:") and "std must be positive" in err
+
     def test_version_1_tag_store_identify_exit_2(self, corpus_dir, model_dir, tmp_path,
                                                  capsys):
         store = containers.load_tag_store((model_dir / "tags.sidtags").read_bytes())

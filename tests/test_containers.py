@@ -243,6 +243,19 @@ def test_invalid_tag_values_refused(index, value):
         load_tag_store(bytes(blob))
 
 
+@pytest.mark.parametrize("index, value", [(3, 0.0), (5, -1.0)], ids=["zero-std", "negative-std"])
+def test_non_positive_standardization_std_refused(index, value):
+    """A finite std entry of the input standardization set to zero or below,
+    which would make every network output NaN. The payload holds 3 means,
+    3 stds and the 26 values of the layers."""
+    blob = bytearray(_valid_blob("dnn"))
+    start = len(blob) - 8 * 32 + 8 * index
+    assert struct.unpack_from("<d", blob, start) == (1.0,)
+    blob[start:start + 8] = struct.pack("<d", value)
+    with pytest.raises(ContainerError, match="std must be positive"):
+        load_dnn(bytes(blob))
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,

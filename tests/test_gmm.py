@@ -1,9 +1,14 @@
 """Diagonal GMM density evaluation, EM training, and speaker selection."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from emosid import gmm
 from emosid.errors import DimensionError, EmptyUtteranceError, InsufficientDataError, \
     ValidationError
 from emosid.features import FeatureMatrix
@@ -13,13 +18,14 @@ from emosid.gmm import (
     _e_step,
     _logsumexp,
     em_fit,
+    frame_scores,
     gmm_identify,
     log_component_densities,
     log_mixture_density,
     score_utterance,
 )
 
-from conftest import stack_tags
+from conftest import reference_logsumexp, reference_score, stack_tags, tag_at
 
 
 def make_tag(weights, means, variances):
@@ -38,15 +44,22 @@ def direct_mixture_density(tag, x):
 
 
 class TestLogSumExp:
-    """The private log-sum-exp against scipy.special.logsumexp."""
+    """The private log-sum-exp against scipy.special.logsumexp, byte for byte
+    along the last axis."""
 
     def check(self, rows):
-        np.testing.assert_allclose(_logsumexp(rows), logsumexp(rows, axis=-1),
-                                   rtol=0, atol=1e-12)
+        before = rows.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(rows)
+        assert got.tobytes() == logsumexp(rows, axis=-1).tobytes()
+        assert rows.tobytes() == before
 
     def test_random_rows(self, rng):
         self.check(rng.standard_normal((200, 8)) * 30)
         self.check(rng.standard_normal((5, 7, 16)))
+        for m in (1, 2, 3, 9, 16, 17, 130, 300):
+            self.check(rng.standard_normal((20, m)) * 5)
 
     def test_tied_rows(self, rng):
         rows = rng.standard_normal((50, 8))
@@ -63,6 +76,122 @@ class TestLogSumExp:
     def test_large_magnitude(self, rng):
         self.check(rng.standard_normal((100, 8)) * 50 + 1e4)
         self.check(rng.standard_normal((100, 8)) * 50 - 1e4)
+
+    def test_non_finite_rows(self, rng):
+        rows = rng.standard_normal((6, 8))
+        rows[0, 2] = np.nan
+        rows[1, 5] = np.inf
+        rows[2] = -np.inf
+        rows[3, :4] = np.inf
+        rows[4] = np.nan
+        rows[5, 0], rows[5, 1] = np.inf, -np.inf
+        self.check(rows)
+
+    def test_subnormal_band(self, rng):
+        """Shifted entries whose exp is subnormal (below about -708) or
+        underflows to zero (below about -745)."""
+        rows = -rng.uniform(700.0, 750.0, (40, 8))
+        rows[:, 0] = 0.0
+        self.check(rows)
+        self.check(rows[:, :3] + 1e3)
+
+    @pytest.mark.parametrize("shape, axis", [((30, 8), 0), ((4, 5, 9), 1), ((3, 130), 0)])
+    def test_other_axes_follow_the_last_axis_order(self, rng, shape, axis):
+        """Along another axis the sum runs in numpy's pairwise order for a row
+        of that length, which need not be scipy's: the same bytes as the
+        array moved to reduce along its last axis."""
+        moved = rng.standard_normal(shape)
+        moved[..., 1] = moved.max(axis=-1)
+        moved.flat[::7] = -np.inf
+        a = np.moveaxis(moved, -1, axis).copy()
+        before = a.tobytes()
+        assert _logsumexp(a, axis=axis).tobytes() == _logsumexp(moved).tobytes()
+        assert a.tobytes() == before
+
+
+def grid_store(rng, k, m, d, ties=True):
+    """k random tags of m components in d dims, in a roster of k speakers and
+    one emotion. With ties, component 1 of every tag repeats component 0 (the
+    log-sum-exp ties) and the last component of tag 0 has zero weight."""
+    weights = rng.uniform(0.1, 1.0, (k, m))
+    means = rng.standard_normal((k, m, d)) * 2.0
+    variances = rng.uniform(0.3, 2.0, (k, m, d))
+    if ties and m > 1:
+        weights[:, 1], means[:, 1], variances[:, 1] = weights[:, 0], means[:, 0], variances[:, 0]
+        weights[0, -1] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):  # the log of a zero weight is -inf
+        return TagStore(speaker_roster=[f"s{i}" for i in range(k)], emotion_roster=["neutral"],
+                        weights=weights, means=means, variances=variances,
+                        train_meta=[{}] * k, front_end={})
+
+
+def far_frames(rng, t, d, reach):
+    """t frames whose distance from the origin grows geometrically up to
+    reach: far out, the gaps between component log-densities sweep through
+    the band where exp of the shifted entries is subnormal or zero."""
+    return rng.standard_normal((t, d)) * np.geomspace(0.5, reach, t)[:, None]
+
+
+class TestScoreKernel:
+    """frame_scores' component-major kernel against the reference that
+    reduces strided (T, K) slices of the (T, M*K) matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1, 6, 60]), m=st.sampled_from([1, 2, 3, 8, 9, 16]),
+           d=st.sampled_from([1, 13]), t=st.sampled_from([1, 2, 7, 257, 1001]),
+           reach=st.sampled_from([1.0, 60.0]), seed=st.integers(0, 2**16))
+    def test_matches_reference_bytes(self, k, m, d, t, reach, seed):
+        rng = np.random.default_rng(seed)
+        store = grid_store(rng, k, m, d)
+        x = far_frames(rng, t, d, reach)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = frame_scores(store, x)
+        assert got.shape == (k, t) and got.flags.c_contiguous
+        assert got.tobytes() == reference_score(store, x).tobytes()
+
+    def test_far_frames_reach_the_subnormal_band(self, rng):
+        store = grid_store(rng, 6, 8, 13)
+        x = far_frames(rng, 1001, 13, 60.0)
+        logb = np.stack([log_component_densities(tag_at(store, j), x)
+                         + np.log(store.weights[j]) for j in range(1, len(store))])
+        shifted = logb - logb.max(axis=-1, keepdims=True)
+        assert np.any((shifted < -708.4) & (shifted > -745.2))
+        assert frame_scores(store, x).tobytes() == reference_score(store, x).tobytes()
+
+    @pytest.mark.parametrize("m, data", [(1, "blobs"), (2, "blobs"), (8, "blobs"),
+                                         (9, "blobs"), (8, "three-points")])
+    def test_em_fit_matches_reference(self, rng, monkeypatch, m, data):
+        """EM's E-step under the plane kernel and under the reference
+        log-sum-exp; on three repeated points the variance floor binds."""
+        if data == "blobs":
+            x = rng.standard_normal((600, 13)) + rng.integers(0, 3, (600, 1)) * 2.0
+        else:
+            x = np.tile(rng.standard_normal((3, 4)), (40, 1))
+        new = em_fit(x, m, seed=4)
+        monkeypatch.setattr(gmm, "_logsumexp", reference_logsumexp)
+        old = em_fit(x, m, seed=4)
+        for name in ("weights", "means", "variances"):
+            assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
+        assert new.train_meta == old.train_meta
+        if data == "three-points":
+            assert new.train_meta["floor_iterations"]
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_rows_against_the_one_tag_density(self, rng, m):
+        """Row k against log_mixture_density of tag k alone (K=60, T=257):
+        the same bytes at 8 mixtures; at 9, the 540-column product tiles
+        differently from the 9-column one and a few entries differ in the
+        last bits."""
+        store = grid_store(rng, 60, m, 13, ties=False)
+        x = rng.standard_normal((257, 13)) * 2.0
+        got = frame_scores(store, x)
+        want = np.stack([log_mixture_density(tag_at(store, k), x) for k in range(len(store))])
+        if m == 8:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestComponentDensity:
