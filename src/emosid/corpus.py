@@ -222,95 +222,106 @@ def _speaker_voice(spec: SynthSpec, idx: int) -> _SpeakerVoice:
 _NUM_VOWELS = 8
 
 
-def _vowel_inventory(spec: SynthSpec) -> np.ndarray:
-    """Formant-scaling triples shared by every sentence (a tiny 'phoneme' set)."""
-    rng = np.random.default_rng((spec.seed, 2, 0))
-    return rng.uniform(0.82, 1.22, size=(_NUM_VOWELS, 3))
-
-
 def _sentence_script(spec: SynthSpec, sentence_id: int):
-    """Shared 'text': a vowel sequence drawn from the common inventory."""
-    inventory = _vowel_inventory(spec)
+    """Shared 'text': (vowel indices into the common inventory, unit weights)."""
     rng = np.random.default_rng((spec.seed, 2, 1 + sentence_id))
     num_units = int(rng.integers(8, 13))
-    units = []
-    for _ in range(num_units):
-        factors = inventory[int(rng.integers(_NUM_VOWELS))]
-        weight = rng.uniform(0.6, 1.4)
-        units.append((factors, weight))
-    return units
+    units = [(int(rng.integers(_NUM_VOWELS)), rng.uniform(0.6, 1.4)) for _ in range(num_units)]
+    return [v for v, _ in units], np.array([w for _, w in units])
 
 
-def _resonator(freq_hz: float, bw_hz: float, fs: int):
-    r = np.exp(-np.pi * bw_hz / fs)
-    theta = 2.0 * np.pi * freq_hz / fs
-    a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
-    b = np.array([np.sum(a)])  # unit gain at DC
-    return b, a
+def _pulse_positions(rng, n: int, fs: int, f0: float, jitter: float) -> np.ndarray:
+    """Sample positions of a jittered glottal pulse train over n samples: pulse k+1
+    follows pulse k (the first is at 0) by max(fs / (f0 (1 + jitter z_k)), 2), with
+    one normal z_k per pulse. The normals are drawn as a chunk, grown until its
+    pulses pass n; the generator is then rewound and advanced by one draw per pulse."""
+    state, size = rng.bit_generator.state, int(n * f0 / fs) + 4
+    while True:
+        steps = np.maximum(fs / (f0 * (1.0 + jitter * rng.standard_normal(size))), 2.0)
+        pos = np.concatenate(([0.0], np.cumsum(steps)))  # cumsum adds in loop order
+        rng.bit_generator.state = state
+        if pos[-1] >= n:
+            break
+        size *= 2
+    pulses = pos[:np.searchsorted(pos, n)]
+    rng.standard_normal(len(pulses))
+    return pulses
+
+
+def _renderer(spec: SynthSpec):
+    """synthesize_utterance for one spec. Voices, sentence scripts and unit
+    resonators are each derived once, and live only as long as the renderer."""
+    fs = spec.sample_rate_hz
+    voice = functools.cache(functools.partial(_speaker_voice, spec))
+    script = functools.cache(functools.partial(_sentence_script, spec))
+    # formant-scaling triples shared by every sentence (a tiny 'phoneme' set)
+    inventory = np.random.default_rng((spec.seed, 2, 0)).uniform(0.82, 1.22, size=(_NUM_VOWELS, 3))
+
+    @functools.cache
+    def resonators(speaker_idx: int, emotion: str) -> np.ndarray:
+        """(vowel, formant, [b0, a0, a1, a2]): b0 = a0 + a1 + a2 gives unit gain at DC."""
+        v, table = voice(speaker_idx), np.empty((_NUM_VOWELS, 3, 4))
+        for vowel, factors in enumerate(inventory):
+            for k, (freq, bw, factor) in enumerate(zip(v.formants_hz, v.bandwidths_hz, factors)):
+                hz = min(freq * EMOTION_PARAMS[emotion][3] * factor, 0.45 * fs)
+                r = np.exp(-np.pi * bw / fs)
+                theta = 2.0 * np.pi * hz / fs
+                a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
+                table[vowel, k] = np.sum(a), *a
+        return table
+
+    def render(speaker_idx: int, emotion: str, sentence_id: int, repetition: int) -> AudioClip:
+        vowels, weights = script(sentence_id)
+        pitch_scale, energy_scale, jitter, _ = EMOTION_PARAMS[emotion]
+        rng = np.random.default_rng(
+            (spec.seed, 3, speaker_idx, EMOTIONS.index(emotion), sentence_id, repetition))
+        total = int(round(rng.uniform(*spec.duration_s) * fs))
+        unit_lens = np.maximum((total * weights / weights.sum()).astype(int), fs // 50)
+
+        f0 = voice(speaker_idx).pitch_hz * pitch_scale
+        out = []
+        for vowel, n in zip(vowels, unit_lens):
+            y = np.zeros(n)
+            y[_pulse_positions(rng, n, fs, f0, jitter).astype(int)] = 1.0  # glottal pulses
+            y += 0.02 * rng.standard_normal(n)  # aspiration noise
+            for coeffs in resonators(speaker_idx, emotion)[vowel]:
+                y = lfilter(coeffs[:1], coeffs[1:], y)
+            out.append(y)
+
+        samples = np.concatenate(out)
+        # smooth per-unit formant switching artifacts with a gentle fade envelope
+        edge = max(int(0.01 * fs), 1)
+        samples[:edge] *= np.linspace(0.0, 1.0, edge)
+        samples[-edge:] *= np.linspace(1.0, 0.0, edge)
+
+        # session nuisances: spectral tilt, level jitter and a noise floor, so
+        # no two utterances share an identical channel
+        tilt = rng.uniform(-spec.channel_tilt, spec.channel_tilt)
+        samples = lfilter([1.0, -tilt], [1.0], samples)
+        peak = np.max(np.abs(samples))
+        if peak > 0:
+            samples = samples / peak * 0.5 * energy_scale * rng.uniform(0.8, 1.2)
+        snr_db = rng.uniform(*spec.session_snr_db)
+        noise_rms = np.sqrt(np.mean(samples ** 2)) / (10.0 ** (snr_db / 20.0))
+        samples = samples + noise_rms * rng.standard_normal(len(samples))
+        samples = np.clip(samples, -1.0, 1.0)
+        source = f"synth:spk{speaker_idx:02d}:{emotion}:s{sentence_id}:r{repetition}"
+        return AudioClip(samples=samples, sample_rate_hz=fs, source_id=source)
+
+    return render
 
 
 def synthesize_utterance(spec: SynthSpec, speaker_idx: int, emotion: str,
                          sentence_id: int, repetition: int) -> AudioClip:
     """Render one utterance deterministically from its index tuple."""
-    voice = _speaker_voice(spec, speaker_idx)
-    script = _sentence_script(spec, sentence_id)
-    pitch_scale, energy_scale, jitter, formant_scale = EMOTION_PARAMS[emotion]
-    emo_idx = EMOTIONS.index(emotion)
-    rng = np.random.default_rng(
-        (spec.seed, 3, speaker_idx, emo_idx, sentence_id, repetition))
-
-    fs = spec.sample_rate_hz
-    duration = rng.uniform(*spec.duration_s)
-    total = int(round(duration * fs))
-    weights = np.array([w for _, w in script])
-    unit_lens = np.maximum((total * weights / weights.sum()).astype(int), fs // 50)
-
-    f0 = voice.pitch_hz * pitch_scale
-    out = []
-    for (factors, _), n in zip(script, unit_lens):
-        # jittered glottal pulse train
-        excitation = np.zeros(n)
-        pos = 0.0
-        while pos < n:
-            excitation[int(pos)] = 1.0
-            period = fs / (f0 * (1.0 + jitter * rng.standard_normal()))
-            pos += max(period, 2.0)
-        excitation += 0.02 * rng.standard_normal(n)  # aspiration noise
-
-        y = excitation
-        for k, (freq, bw) in enumerate(zip(voice.formants_hz, voice.bandwidths_hz)):
-            b, a = _resonator(min(freq * formant_scale * factors[k], 0.45 * fs), bw, fs)
-            y = lfilter(b, a, y)
-        out.append(y)
-
-    samples = np.concatenate(out)
-    # smooth per-unit formant switching artifacts with a gentle fade envelope
-    env = np.ones(len(samples))
-    edge = max(int(0.01 * fs), 1)
-    env[:edge] = np.linspace(0.0, 1.0, edge)
-    env[-edge:] = np.linspace(1.0, 0.0, edge)
-    samples = samples * env
-
-    # session nuisances: spectral tilt, level jitter and a noise floor, so
-    # no two utterances share an identical channel
-    tilt = rng.uniform(-spec.channel_tilt, spec.channel_tilt)
-    samples = lfilter([1.0, -tilt], [1.0], samples)
-    peak = np.max(np.abs(samples))
-    if peak > 0:
-        samples = samples / peak * 0.5 * energy_scale * rng.uniform(0.8, 1.2)
-    snr_db = rng.uniform(*spec.session_snr_db)
-    sig_rms = np.sqrt(np.mean(samples ** 2))
-    noise_rms = sig_rms / (10.0 ** (snr_db / 20.0))
-    samples = samples + noise_rms * rng.standard_normal(len(samples))
-    samples = np.clip(samples, -1.0, 1.0)
-    source = f"synth:spk{speaker_idx:02d}:{emotion}:s{sentence_id}:r{repetition}"
-    return AudioClip(samples=samples, sample_rate_hz=fs, source_id=source)
+    return _renderer(spec)(speaker_idx, emotion, sentence_id, repetition)
 
 
 def generate_synthetic(spec: SynthSpec, out_dir) -> Manifest:
     """Write the full factorial corpus plus its manifest; returns the Manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    render = _renderer(spec)
     emotions = EMOTIONS[:spec.num_emotions]
     entries = []
     total_sentences = 2 * spec.sentences_per_split
@@ -320,7 +331,7 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> Manifest:
             for sentence_id in range(total_sentences):
                 split = "train" if sentence_id < spec.sentences_per_split else "test"
                 for rep in range(spec.repetitions):
-                    clip = synthesize_utterance(spec, spk_idx, emotion, sentence_id, rep)
+                    clip = render(spk_idx, emotion, sentence_id, rep)
                     name = f"{speaker_id}_{emotion}_s{sentence_id}_r{rep}.wav"
                     save_wav(out_dir / name, clip)
                     entries.append(ManifestEntry(

@@ -270,7 +270,8 @@ class TagStore:
                 raise ValidationError(f"roster {roster!r} is not a list of distinct strings")
         if not (self.variances > 0).all() or (self.weights < 0).any():
             raise ValidationError("tag variances must be positive and weights non-negative")
-        terms = (*_component_terms(self.means, self.variances), np.log(self.weights))
+        with np.errstate(divide="ignore"):  # a zero weight's log is -inf, silently
+            terms = (*_component_terms(self.means, self.variances), np.log(self.weights))
         self._inv, self._mean_inv = (t.swapaxes(0, 1).reshape(-1, self.dim) for t in terms[:2])
         self._mean2_inv, self._const, self._log_w = (t.T.ravel() for t in terms[2:])
 

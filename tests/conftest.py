@@ -2,13 +2,16 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from emosid.audio import AudioClip
+from emosid.audio import AudioClip, save_wav
 from emosid.containers import TAGS_MAGIC
-from emosid.corpus import SynthSpec, generate_synthetic
+from emosid.corpus import (EMOTION_PARAMS, EMOTIONS, Manifest, ManifestEntry, SynthSpec,
+                           _speaker_voice, generate_synthetic, save_manifest)
 from emosid.dnn import gradients, init_model
 from emosid.errors import DivergenceError
 from emosid.errors import DimensionError, EmptyUtteranceError
@@ -173,6 +176,103 @@ def reference_score(store, data):
     logp += store._log_w
     per_frame = reference_logsumexp(logp.reshape(len(x), -1, len(store)), axis=1)  # (T, K)
     return np.ascontiguousarray(per_frame.T)
+
+
+def reference_pulse_positions(rng, n, fs, f0, jitter):
+    """The glottal pulse train as reference_synthesize_utterance draws it, one
+    scalar normal and one Python step per pulse: the oracle for
+    corpus._pulse_positions."""
+    positions = []
+    pos = 0.0
+    while pos < n:
+        positions.append(pos)
+        period = fs / (f0 * (1.0 + jitter * rng.standard_normal()))
+        pos += max(period, 2.0)
+    return np.array(positions)
+
+
+def reference_synthesize_utterance(spec, speaker_idx, emotion, sentence_id, repetition):
+    """corpus.synthesize_utterance with every voice, script and resonator
+    derived afresh and the per-pulse loop: the byte oracle for the renderer."""
+    voice = _speaker_voice(spec, speaker_idx)
+    inventory = np.random.default_rng((spec.seed, 2, 0)).uniform(0.82, 1.22, size=(8, 3))
+    script_rng = np.random.default_rng((spec.seed, 2, 1 + sentence_id))
+    script = []
+    for _ in range(int(script_rng.integers(8, 13))):
+        factors = inventory[int(script_rng.integers(8))]
+        script.append((factors, script_rng.uniform(0.6, 1.4)))
+    pitch_scale, energy_scale, jitter, formant_scale = EMOTION_PARAMS[emotion]
+    emo_idx = EMOTIONS.index(emotion)
+    rng = np.random.default_rng(
+        (spec.seed, 3, speaker_idx, emo_idx, sentence_id, repetition))
+
+    fs = spec.sample_rate_hz
+    duration = rng.uniform(*spec.duration_s)
+    total = int(round(duration * fs))
+    weights = np.array([w for _, w in script])
+    unit_lens = np.maximum((total * weights / weights.sum()).astype(int), fs // 50)
+
+    f0 = voice.pitch_hz * pitch_scale
+    out = []
+    for (factors, _), n in zip(script, unit_lens):
+        excitation = np.zeros(n)
+        pos = 0.0
+        while pos < n:
+            excitation[int(pos)] = 1.0
+            period = fs / (f0 * (1.0 + jitter * rng.standard_normal()))
+            pos += max(period, 2.0)
+        excitation += 0.02 * rng.standard_normal(n)
+
+        y = excitation
+        for k, (freq, bw) in enumerate(zip(voice.formants_hz, voice.bandwidths_hz)):
+            freq_hz = min(freq * formant_scale * factors[k], 0.45 * fs)
+            r = np.exp(-np.pi * bw / fs)
+            theta = 2.0 * np.pi * freq_hz / fs
+            a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
+            y = lfilter(np.array([np.sum(a)]), a, y)
+        out.append(y)
+
+    samples = np.concatenate(out)
+    env = np.ones(len(samples))
+    edge = max(int(0.01 * fs), 1)
+    env[:edge] = np.linspace(0.0, 1.0, edge)
+    env[-edge:] = np.linspace(1.0, 0.0, edge)
+    samples = samples * env
+
+    tilt = rng.uniform(-spec.channel_tilt, spec.channel_tilt)
+    samples = lfilter([1.0, -tilt], [1.0], samples)
+    peak = np.max(np.abs(samples))
+    if peak > 0:
+        samples = samples / peak * 0.5 * energy_scale * rng.uniform(0.8, 1.2)
+    snr_db = rng.uniform(*spec.session_snr_db)
+    sig_rms = np.sqrt(np.mean(samples ** 2))
+    noise_rms = sig_rms / (10.0 ** (snr_db / 20.0))
+    samples = samples + noise_rms * rng.standard_normal(len(samples))
+    samples = np.clip(samples, -1.0, 1.0)
+    source = f"synth:spk{speaker_idx:02d}:{emotion}:s{sentence_id}:r{repetition}"
+    return AudioClip(samples=samples, sample_rate_hz=fs, source_id=source)
+
+
+def reference_generate_synthetic(spec, out_dir):
+    """corpus.generate_synthetic over reference_synthesize_utterance."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for spk_idx in range(spec.num_speakers):
+        speaker_id = f"spk{spk_idx:02d}"
+        for emotion in EMOTIONS[:spec.num_emotions]:
+            for sentence_id in range(2 * spec.sentences_per_split):
+                split = "train" if sentence_id < spec.sentences_per_split else "test"
+                for rep in range(spec.repetitions):
+                    name = f"{speaker_id}_{emotion}_s{sentence_id}_r{rep}.wav"
+                    save_wav(out_dir / name, reference_synthesize_utterance(
+                        spec, spk_idx, emotion, sentence_id, rep))
+                    entries.append(ManifestEntry(
+                        path=str(out_dir / name), speaker_id=speaker_id, emotion=emotion,
+                        sentence_id=sentence_id, repetition=rep, split=split))
+    manifest = Manifest(entries=entries)
+    save_manifest(manifest, out_dir / "manifest.jsonl")
+    return manifest
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from emosid.containers import (
 from emosid.dnn import init_model, train
 from emosid.errors import ContainerError, EmosidError, VersionError
 from emosid.features import FeatureMatrix
-from emosid.gmm import TagStore
+from emosid.gmm import TagStore, frame_scores
 from emosid.pipeline import PipelineConfig
 
 from conftest import v1_tag_store, v2_tag_store
@@ -105,6 +106,25 @@ class TestTagStore:
         with a guessed one."""
         with pytest.raises(VersionError, match="version 2"):
             load_tag_store(v2_tag_store(store))
+
+
+    def test_zero_weight_round_trip_is_silent(self, rng):
+        """A zero component weight is valid; building, saving and loading the
+        store warns of nothing, and its log weight is -inf as np.log gives it."""
+        weights = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = TagStore(speaker_roster=["a", "b"], emotion_roster=["neutral"],
+                             weights=weights, means=rng.standard_normal((2, 2, 3)),
+                             variances=rng.uniform(0.5, 2.0, (2, 2, 3)),
+                             train_meta=[{}, {}], front_end=PipelineConfig().front_end())
+            back = load_tag_store(save_tag_store(store))
+            scores = frame_scores(back, rng.standard_normal((5, 3)))
+        with np.errstate(divide="ignore"):
+            expected = np.log(weights).T.ravel()
+        assert back._log_w.tobytes() == store._log_w.tobytes() == expected.tobytes()
+        assert np.isneginf(back._log_w).sum() == 2
+        assert np.isfinite(scores).all()
 
 
 class TestDnn:

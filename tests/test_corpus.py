@@ -1,16 +1,20 @@
 """Manifests and the synthetic corpus generator."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scipy.signal import butter
 
+from emosid import corpus
 from emosid.corpus import (
     EMOTIONS,
+    _pulse_positions,
     _rumble_filter,
     Manifest,
     ManifestEntry,
@@ -24,6 +28,9 @@ from emosid.corpus import (
     validate_manifest,
 )
 from emosid.errors import ValidationError
+
+from conftest import (reference_generate_synthetic, reference_pulse_positions,
+                      reference_synthesize_utterance)
 
 
 def entry(**kw):
@@ -168,6 +175,79 @@ class TestSynthesize:
         assert 0.9 <= clip.duration_s <= 1.8
 
 
+class TestRenderAgainstReference:
+    """The whole-array renderer against the per-pulse, per-utterance oracle in
+    conftest: the same samples, the same WAV and manifest bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 4000),
+           fs=st.sampled_from([8000, 12000, 16000]), f0=st.floats(20.0, 400.0),
+           jitter=st.floats(0.0, 0.9))
+    @example(seed=0, n=0, fs=12000, f0=100.0, jitter=0.01)
+    @example(seed=1, n=1, fs=12000, f0=100.0, jitter=0.01)
+    def test_pulse_train(self, seed, n, fs, f0, jitter):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _pulse_positions(ours, n, fs, f0, jitter)
+        assert got.tobytes() == reference_pulse_positions(theirs, n, fs, f0, jitter).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_pulse_chunk_grows(self):
+        """Wide jitter at low pitch can need more normals than the first chunk
+        holds; the grown chunk still matches, draw for draw."""
+        grown = 0
+        for seed in range(40):
+            ours = DrawLog(np.random.default_rng(seed))
+            theirs = np.random.default_rng(seed)
+            got = _pulse_positions(ours, 3000, 12000, 50.0, 0.9)
+            assert got.tobytes() == reference_pulse_positions(
+                theirs, 3000, 12000, 50.0, 0.9).tobytes()
+            assert ours.standard_normal() == theirs.standard_normal()
+            grown += len(ours.sizes) > 3  # chunk, larger chunk(s), one draw per pulse, ours
+        assert grown > 0
+
+    @pytest.mark.parametrize("emotion", EMOTIONS)
+    def test_utterance_samples(self, emotion):
+        spec = SynthSpec(num_speakers=3, seed=5, separation=0.35)
+        for speaker, sentence, rep in [(0, 0, 0), (2, 5, 1)]:
+            got = synthesize_utterance(spec, speaker, emotion, sentence, rep)
+            want = reference_synthesize_utterance(spec, speaker, emotion, sentence, rep)
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.source_id == want.source_id
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("rate, duration_s, reps", [
+        (12000, (1.0, 1.6), 2), (16000, (1.0, 1.6), 1), (12000, (4.0, 8.0), 1)])
+    def test_corpus_bytes(self, tmp_path, seed, rate, duration_s, reps):
+        spec = SynthSpec(num_speakers=2, sentences_per_split=1, repetitions=reps,
+                         sample_rate_hz=rate, duration_s=duration_s, seed=seed,
+                         separation=0.35)
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        generate_synthetic(spec, ours)
+        reference_generate_synthetic(spec, theirs)
+        assert corpus_bytes(ours) == corpus_bytes(theirs)
+        assert len(corpus_bytes(ours)) == 2 * 6 * 2 * reps + 1
+
+
+class DrawLog:
+    """A Generator that records the size of every normal draw."""
+
+    def __init__(self, rng):
+        self.bit_generator, self.rng, self.sizes = rng.bit_generator, rng, []
+
+    def standard_normal(self, size=None):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
+def corpus_bytes(out_dir) -> dict:
+    """Every file of a generated corpus by name, with the directory taken out of
+    the manifest's paths."""
+    out_dir = Path(out_dir)
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    files["manifest.jsonl"] = files["manifest.jsonl"].replace(str(out_dir).encode(), b"DIR")
+    return files
+
+
 class TestGenerateSynthetic:
     def test_counts_and_layout(self, tiny_corpus, tmp_path):
         spec, manifest = tiny_corpus
@@ -182,12 +262,17 @@ class TestGenerateSynthetic:
             assert e.split == ("train" if e.sentence_id < 2 else "test")
 
     def test_byte_identical_given_seed(self, tmp_path):
+        """A second call writes the same bytes, also after a call with another
+        spec of the same seed, and no module-level cache keeps a synthesis table."""
         spec = SynthSpec(num_speakers=2, num_emotions=2, sentences_per_split=1,
                          repetitions=1, duration_s=(0.5, 0.7), seed=11)
-        m1 = generate_synthetic(spec, tmp_path / "a")
-        m2 = generate_synthetic(spec, tmp_path / "b")
-        for e1, e2 in zip(m1.entries, m2.entries):
-            assert Path(e1.path).read_bytes() == Path(e2.path).read_bytes()
+        generate_synthetic(spec, tmp_path / "a")
+        generate_synthetic(replace(spec, separation=0.35), tmp_path / "other")
+        generate_synthetic(spec, tmp_path / "b")
+        assert corpus_bytes(tmp_path / "a") == corpus_bytes(tmp_path / "b")
+        caches = {name: fn.cache_info().currsize for name, fn in vars(corpus).items()
+                  if hasattr(fn, "cache_info") and name != "_rumble_filter"}
+        assert not any(caches.values()), caches
 
     def test_speaker_spectra_separated(self, tiny_corpus):
         """Between-speaker long-term spectral distance exceeds within-speaker
