@@ -128,6 +128,10 @@ class FeatureMatrix:
         view.flags.writeable = False
         object.__setattr__(self, "data", view)
 
+    def __reduce__(self):
+        # through the constructor, so that unpickled data is read-only too
+        return type(self), (self.data, self.meta)
+
     @property
     def num_frames(self) -> int:
         return self.data.shape[0]

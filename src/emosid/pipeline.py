@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import math
+import multiprocessing
+import os
 import typing
 import zlib
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -18,7 +23,7 @@ from . import evaluation as eval_mod
 from . import features as feat_mod
 from . import gmm as gmm_mod
 from .corpus import Manifest, interference_clip
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, EmosidError, ValidationError
 from .evaluation import TrialRecord
 from .features import FeatureMatrix
 from .gmm import TagStore
@@ -184,6 +189,79 @@ def load_entry_features(entry, cfg: PipelineConfig, bank=None,
     return extract_features(clip, cfg, bank)
 
 
+# A fork pool of two workers costs 20-50 ms to start and stop on a 2-core Xeon.
+# The cheapest stage, GMM-alone evaluate, spends about 2 ms per utterance, so a
+# second CPU saves it about 1 ms per utterance: a pool pays from 20-50
+# utterances on, and the threshold leaves room for a slower start.
+MIN_POOL_UTTERANCES = 100
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set, e.g. under taskset)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _one_blas_thread() -> None:
+    """Limit each OpenBLAS loaded in this process to one thread. A pool already
+    runs a worker per CPU; BLAS threads on top spin against each other and made
+    a 480-utterance train and evaluate 3x slower on 2 CPUs. A GEMM splits its
+    output, never its sums, across threads, so the bytes do not change."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh
+                    if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+_worker_fn = None  # the stage's fn; set in pool workers only, by _install
+
+
+def _install(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+    _one_blas_thread()
+
+
+def _run(i: int):
+    return _worker_fn(i)
+
+
+def parallel_map(fn, n: int, utterances: int) -> list:
+    """``[fn(i) for i in range(n)]``, spread over the CPUs this process may use.
+
+    The workers are forks of this process: fn and the state it reads are
+    inherited, never pickled, and only the results come back by pickle. The
+    map runs in-process on one CPU, for one item, without ``fork``, or when
+    the stage covers fewer than MIN_POOL_UTTERANCES utterances. Each worker
+    does exactly the float operations the parent would, so the results do
+    not depend on the CPU count. An exception raised by fn reaches the caller
+    with its type and message; a worker that dies is an EmosidError.
+    """
+    workers = min(_usable_cpus(), n)
+    if (workers < 2 or utterances < MIN_POOL_UTTERANCES
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(i) for i in range(n)]
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_install, initargs=(fn,)) as pool:
+            return list(pool.map(_run, range(n), chunksize=max(1, n // (8 * workers))))
+    except BrokenProcessPool as exc:
+        raise EmosidError(f"a worker process died: {exc}") from exc
+
+
 @dataclass
 class TrainedModels:
     tag_store: TagStore
@@ -199,70 +277,73 @@ def _standardization(vectors: np.ndarray):
     return mean, std
 
 
-def train_features(manifest: Manifest, cfg: PipelineConfig) -> list:
-    """(entry, features) for every train-split entry, in manifest order."""
-    train_entries = manifest.split_entries("train")
-    if not train_entries:
+def _fit_tags(manifest: Manifest, cfg: PipelineConfig):
+    """(tag store, [(entry, features)] of the train split in manifest order).
+
+    One job per (speaker, emotion): extract its train utterances and fit its
+    tag by EM."""
+    train = manifest.split_entries("train")
+    if not train:
         raise ValidationError("manifest has no train entries")
-    bank = build_bank(cfg)
-    return [(e, load_entry_features(e, cfg, bank)) for e in train_entries]
-
-
-def train_tags(manifest: Manifest, cfg: PipelineConfig, train=None) -> TagStore:
-    """One GMM tag per (speaker, emotion), trained by EM on the train split.
-
-    train is ``train_features(manifest, cfg)``, extracted here when omitted.
-    """
-    if train is None:
-        train = train_features(manifest, cfg)
-    tags = []
-    for si, spk in enumerate(manifest.speaker_roster):
-        for ei, emo in enumerate(manifest.emotion_roster):
-            rows = [fm.data for e, fm in train if e.speaker_id == spk and e.emotion == emo]
-            if not rows:
+    groups = []
+    for spk in manifest.speaker_roster:
+        for emo in manifest.emotion_roster:
+            groups.append([i for i, e in enumerate(train)
+                           if e.speaker_id == spk and e.emotion == emo])
+            if not groups[-1]:
                 raise ValidationError(
                     f"no training data for speaker {spk} emotion {emo}")
-            data = np.concatenate(rows, axis=0)
-            seed = int(np.random.SeedSequence(
-                (cfg.seed, 5, si, ei)).generate_state(1)[0])
-            tags.append(gmm_mod.em_fit(
-                data, cfg.mixtures, max_iters=cfg.gmm_max_iters, tol=cfg.gmm_tol,
-                variance_floor=cfg.variance_floor, seed=seed))
-    return TagStore(speaker_roster=list(manifest.speaker_roster),
-                    emotion_roster=list(manifest.emotion_roster),
-                    weights=np.stack([t.weights for t in tags]),
-                    means=np.stack([t.means for t in tags]),
-                    variances=np.stack([t.variances for t in tags]),
-                    train_meta=[t.train_meta for t in tags],
-                    front_end=cfg.front_end())
+    bank = build_bank(cfg)
+
+    def fit(k):
+        si, ei = divmod(k, len(manifest.emotion_roster))
+        fms = [load_entry_features(train[i], cfg, bank) for i in groups[k]]
+        seed = int(np.random.SeedSequence((cfg.seed, 5, si, ei)).generate_state(1)[0])
+        tag = gmm_mod.em_fit(
+            np.concatenate([fm.data for fm in fms], axis=0), cfg.mixtures,
+            max_iters=cfg.gmm_max_iters, tol=cfg.gmm_tol,
+            variance_floor=cfg.variance_floor, seed=seed)
+        return fms, tag
+
+    fitted = parallel_map(fit, len(groups), len(train))
+    features = {i: fm for group, (fms, _) in zip(groups, fitted) for i, fm in zip(group, fms)}
+    tags = [tag for _, tag in fitted]
+    store = TagStore(speaker_roster=list(manifest.speaker_roster),
+                     emotion_roster=list(manifest.emotion_roster),
+                     weights=np.stack([t.weights for t in tags]),
+                     means=np.stack([t.means for t in tags]),
+                     variances=np.stack([t.variances for t in tags]),
+                     train_meta=[t.train_meta for t in tags],
+                     front_end=cfg.front_end())
+    return store, [(e, features[i]) for i, e in enumerate(train)]
+
+
+def train_tags(manifest: Manifest, cfg: PipelineConfig) -> TagStore:
+    """One GMM tag per (speaker, emotion), trained by EM on the train split."""
+    return _fit_tags(manifest, cfg)[0]
 
 
 def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
     """Train the tag store, the cascade DNN, and the DNN-alone ablation."""
-    train = train_features(manifest, cfg)
-    store = train_tags(manifest, cfg, train)
+    store, train = _fit_tags(manifest, cfg)
 
-    # segment-level training sets for both networks
+    # segment-level training sets for both networks, one job per network
     plan = cfg.segment_plan()
+    spans = [cascade_mod.segment(fm, plan) for _, fm in train]
     speaker_index = {spk: k for k, spk in enumerate(manifest.speaker_roster)}
-    lvs, pooled, labels = [], [], []
-    for e, fm in train:
-        spans = cascade_mod.segment(fm, plan)
-        lvs.append(cascade_mod.likelihood_vectors(store, fm, spans))
-        pooled.append(cascade_mod.pooled_stats(store, fm, spans))
-        labels += [speaker_index[e.speaker_id]] * len(spans)
-    lvs = np.concatenate(lvs)
-    pooled = np.concatenate(pooled)
-    labels = np.asarray(labels)
+    labels = np.asarray([speaker_index[e.speaker_id]
+                         for (e, _), s in zip(train, spans) for _ in s])
+    inputs = (cascade_mod.likelihood_vectors, cascade_mod.pooled_stats)
 
-    nets = []
-    for rows in (lvs, pooled):
+    def fit(k):
+        rows = np.concatenate([inputs[k](store, fm, s) for (_, fm), s in zip(train, spans)])
         std = _standardization(rows) if cfg.standardize_inputs else None
-        nets.append(dnn_mod.train(
+        return dnn_mod.train(
             rows, labels, cfg.hidden_sizes, len(manifest.speaker_roster),
             learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
-            lr_decay=cfg.lr_decay, seed=cfg.seed, input_standardization=std))
-    cascade_net, dnn_only = nets
+            lr_decay=cfg.lr_decay, seed=cfg.seed, input_standardization=std)
+
+    cascade_net, dnn_only = parallel_map(fit, len(inputs), len(train))
 
     report = {
         "config": cfg.to_dict(),
@@ -299,8 +380,9 @@ def evaluate_models(manifest: Manifest, models: TrainedModels, cfg: PipelineConf
     condition = "distorted" if distort else "normal"
     networks = [("cascade", models.cascade_dnn, cascade_mod.likelihood_vectors),
                 ("dnn", models.dnn_only, cascade_mod.pooled_stats)]
-    records = []
-    for e in test_entries:
+
+    def decide(i):
+        e = test_entries[i]
         fm = load_entry_features(e, cfg, bank, distort=distort)
         predicted = {}
         if "gmm" in modes:
@@ -309,10 +391,12 @@ def evaluate_models(manifest: Manifest, models: TrainedModels, cfg: PipelineConf
             if mode in modes:
                 predicted[mode] = cascade_mod.classify(
                     models.tag_store, model, fm, plan, cfg.aggregation, inputs).speaker_id
-        records += [TrialRecord(e.path, e.speaker_id, speaker, e.emotion, condition, mode,
-                                e.repetition)
-                    for mode, speaker in predicted.items()]
-    return records
+        return [TrialRecord(e.path, e.speaker_id, speaker, e.emotion, condition, mode,
+                            e.repetition)
+                for mode, speaker in predicted.items()]
+
+    return [r for recs in parallel_map(decide, len(test_entries), len(test_entries))
+            for r in recs]
 
 
 def evaluation_report(records, cfg: PipelineConfig) -> dict:

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +415,9 @@ class BadInputs:
         train entries, row 2 a test entry."""
         rows = list(self.rows)
         rows[row] = {**rows[row], **changes}
+        return self.write_rows(rows, name)
+
+    def write_rows(self, rows, name="m.jsonl"):
         path = self.tmp / name
         if path.suffix == ".csv":
             with open(path, "w", newline="") as fh:
@@ -421,6 +427,12 @@ class BadInputs:
         else:
             path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         return str(path)
+
+    def no_tag_manifest(self):
+        """The corpus manifest less the train rows of row 0's (speaker, emotion)."""
+        tag = (self.rows[0]["speaker_id"], self.rows[0]["emotion"])
+        return self.write_rows([r for r in self.rows if r["split"] != "train"
+                                or (r["speaker_id"], r["emotion"]) != tag])
 
     def colliding_manifest(self):
         """Row 1 moved to b/<row 0's file name>: both would write one .feat."""
@@ -454,6 +466,15 @@ BAD_INPUTS = {
                                       b.manifest(2, path=b.short_wav()), *b.models,
                                       "--modes", "cascade"],
                            1, "short.wav: shorter than one frame"),
+    "train-gmm-missing-wav": (lambda b: ["train-gmm", "--manifest",
+                                         b.manifest(0, path=str(b.tmp / "gone.wav")),
+                                         "--out", b.out], 1, "gone.wav"),
+    "evaluate-missing-wav": (lambda b: ["evaluate", "--manifest",
+                                        b.manifest(2, path=str(b.tmp / "gone.wav")),
+                                        *b.models, "--modes", "cascade"], 1, "gone.wav"),
+    "train-tag-without-data": (lambda b: ["train", "--manifest", b.no_tag_manifest(),
+                                          "--out", b.out],
+                               1, "no train entry for speaker spk00 emotion neutral"),
     "extract-short-wav": (lambda b: ["extract", "--manifest",
                                      b.manifest(0, path=b.short_wav()), "--out", b.out],
                           2, "short.wav: shorter than one frame"),
@@ -502,3 +523,39 @@ class TestBadInputs:
         else:
             assert err.startswith("error:") and names in err
             assert not written
+
+    @pytest.mark.parametrize("case", ["train-gmm-short-wav", "evaluate-short-wav",
+                                      "train-gmm-missing-wav", "evaluate-missing-wav"])
+    def test_same_exit_from_a_worker(self, case, corpus_dir, model_dir, tmp_path, capsys,
+                                     monkeypatch):
+        """The stage runs on two workers; their errors keep type and message."""
+        monkeypatch.setattr(pipeline, "MIN_POOL_UTTERANCES", 0)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        self.test_exit_code_and_message(case, corpus_dir, model_dir, tmp_path, capsys)
+
+    def test_dead_worker_exit_2(self, manifest_path, model_dir):
+        """A worker that dies ends the run with exit 2 and an error line, not a
+        traceback or a hang."""
+        script = (
+            "import os, sys\n"
+            "from emosid import cli, pipeline\n"
+            "pipeline.MIN_POOL_UTTERANCES = 0\n"
+            "pipeline._usable_cpus = lambda: 2\n"
+            "parent, load = os.getpid(), pipeline.load_entry_features\n"
+            "def dies_in_a_worker(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(3)\n"
+            "    return load(*args, **kwargs)\n"
+            "pipeline.load_entry_features = dies_in_a_worker\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "evaluate", "--manifest", manifest_path,
+             "--tags", str(model_dir / "tags.sidtags"),
+             "--dnn", str(model_dir / "cascade.siddnn"), "--modes", "cascade"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: a worker process died")
+        assert "Traceback" not in proc.stderr

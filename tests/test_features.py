@@ -1,5 +1,7 @@
 """MFCC front end, checked against slow straight-line oracles."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,3 +248,14 @@ def test_feature_matrix_data_is_read_only(rng):
         fm.data += 1.0
     assert own.flags.writeable and np.shares_memory(own, fm.data)
     assert fm.data.tobytes() == own.tobytes()
+
+
+def test_feature_matrix_stays_read_only_through_pickle(rng):
+    """Pool workers send features back by pickle; the copy is as read-only
+    as the original and carries the same values and meta."""
+    fm = FeatureMatrix(rng.standard_normal((5, 3)), {"source_id": "a.wav"})
+    back = pickle.loads(pickle.dumps(fm))
+    assert not back.data.flags.writeable
+    with pytest.raises(ValueError):
+        back.data[0, 0] = 1.0
+    assert back.data.tobytes() == fm.data.tobytes() and back.meta == fm.meta

@@ -1,13 +1,21 @@
 """Pipeline orchestration: feature extraction wiring, training, reports."""
 
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emosid.audio import AudioClip, load_wav
-from emosid.corpus import SynthSpec, generate_synthetic
-from emosid.errors import ConfigError, EmptyAudioError, ValidationError
+import emosid
+from emosid import containers, pipeline
+from emosid.audio import AudioClip, load_wav, save_wav
+from emosid.corpus import Manifest, SynthSpec, generate_synthetic
+from emosid.errors import ConfigError, EmosidError, EmptyAudioError, ValidationError
 from emosid.evaluation import TrialRecord, sid_performance
 from emosid.pipeline import (
     PipelineConfig,
@@ -16,7 +24,9 @@ from emosid.pipeline import (
     evaluation_report,
     extract_features,
     load_entry_features,
+    parallel_map,
     train_models,
+    train_tags,
 )
 
 
@@ -221,3 +231,121 @@ def test_separation_monotonicity(tmp_path):
         records = evaluate_models(manifest, models, cfg, modes=("gmm",))
         rates.append(sid_performance(records).averages[("gmm", "normal")])
     assert rates[0] >= rates[1] >= rates[2], rates
+
+
+class PoolSpy(pipeline.ProcessPoolExecutor):
+    """The pipeline's pool class, counting the pools started."""
+
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        PoolSpy.started += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every stage may fan out, whatever its size; counts the pools started."""
+    PoolSpy.started = 0
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", PoolSpy)
+    monkeypatch.setattr(pipeline, "MIN_POOL_UTTERANCES", 0)
+    return PoolSpy
+
+
+def _outputs(manifest, cfg) -> tuple:
+    """Every byte train and evaluate produce: models, report, records."""
+    models = train_models(manifest, cfg)
+    return (containers.save_tag_store(models.tag_store),
+            containers.save_dnn(models.cascade_dnn), containers.save_dnn(models.dnn_only),
+            json.dumps(models.report, sort_keys=True),
+            evaluate_models(manifest, models, cfg),
+            evaluate_models(manifest, models, cfg, distort=True))
+
+
+class TestParallelMap:
+    def test_outputs_do_not_depend_on_cpu_count(self, trained, pools, monkeypatch):
+        manifest, _, _ = trained
+        cfg = PipelineConfig(seed=3, epochs=5)
+        got = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+            got[cpus] = _outputs(manifest, cfg)
+        assert pools.started == 4  # train: tags, networks; evaluate: normal, distorted
+        assert got[1] == got[2]
+
+    def test_small_stage_starts_no_process(self, trained, monkeypatch):
+        manifest, _, _ = trained
+        assert len(manifest.split_entries("test")) < pipeline.MIN_POOL_UTTERANCES
+
+        def no_fork():
+            raise AssertionError("forked below the size threshold")
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = PipelineConfig(seed=3, epochs=2)
+        evaluate_models(manifest, train_models(manifest, cfg), cfg, modes=("gmm",))
+
+    def test_order_kept_and_one_item_in_process(self, pools, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        assert parallel_map(lambda i: (i, os.getpid()), 1, 1) == [(0, os.getpid())]
+        assert pools.started == 0
+        got = parallel_map(lambda i: (i, os.getpid()), 40, 40)
+        assert pools.started == 1
+        assert [i for i, _ in got] == list(range(40))
+        assert os.getpid() not in {pid for _, pid in got}
+
+
+class TestWorkerFailures:
+    """An error in a worker reaches the caller as itself."""
+
+    @pytest.fixture
+    def broken(self, trained, tmp_path):
+        """The trained corpus with one train and one test entry replaced."""
+        manifest, _, models = trained
+        save_wav(tmp_path / "short.wav", AudioClip(np.full(100, 0.1), 12000))
+
+        def with_path(split, path):
+            entries = list(manifest.entries)
+            k = next(i for i, e in enumerate(entries) if e.split == split)
+            entries[k] = dataclasses.replace(entries[k], path=str(path))
+            return Manifest(entries=entries)
+        return with_path, models
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("name, error, message", [
+        ("short.wav", ValidationError, "short.wav: shorter than one frame"),
+        ("gone.wav", FileNotFoundError, "gone.wav")])
+    def test_typed_error_from_a_worker(self, broken, pools, monkeypatch, tmp_path, split,
+                                       name, error, message):
+        with_path, models = broken
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        manifest = with_path(split, tmp_path / name)
+        cfg = PipelineConfig(seed=3, epochs=2)
+        with pytest.raises(error, match=message) as info:
+            if split == "train":
+                train_tags(manifest, cfg)
+            else:
+                evaluate_models(manifest, models, cfg, modes=("gmm",))
+        assert pools.started == 1
+        assert type(info.value.__cause__).__name__ == "_RemoteTraceback"  # from a worker
+
+    def test_dead_worker_is_an_emosid_error(self):
+        script = (
+            "import os\n"
+            "from emosid import pipeline\n"
+            "from emosid.errors import EmosidError\n"
+            "pipeline.MIN_POOL_UTTERANCES = 0\n"
+            "pipeline._usable_cpus = lambda: 2\n"
+            "parent = os.getpid()\n"
+            "try:\n"
+            "    pipeline.parallel_map(lambda i: os._exit(3) if os.getpid() != parent else i,"
+            " 4, 4)\n"
+            "except EmosidError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+        src = str(Path(emosid.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("EmosidError a worker process died")
