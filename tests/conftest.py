@@ -1,13 +1,17 @@
 """Shared fixtures: tiny corpora and deterministic random data."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from emosid import pipeline
 from emosid.audio import AudioClip, save_wav
 from emosid.containers import TAGS_MAGIC
 from emosid.corpus import (EMOTION_PARAMS, EMOTIONS, Manifest, ManifestEntry, SynthSpec,
@@ -284,3 +288,12 @@ def tiny_corpus(tmp_path_factory):
                      duration_s=(0.8, 1.2), seed=3)
     manifest = generate_synthetic(spec, str(out))
     return spec, manifest
+
+
+def run_python(code: str, *argv):
+    """Run code in a fresh interpreter that imports this emosid; a hang fails
+    after 120 s instead of stalling the suite."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})

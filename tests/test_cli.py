@@ -2,10 +2,7 @@
 
 import csv
 import json
-import os
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +11,7 @@ import pytest
 from emosid import audio, cascade, containers, dnn, pipeline
 from emosid.cli import main
 
-from conftest import v1_tag_store, v2_tag_store
+from conftest import run_python, v1_tag_store, v2_tag_store
 
 
 def run(capsys, *argv):
@@ -548,14 +545,9 @@ class TestBadInputs:
             "    return load(*args, **kwargs)\n"
             "pipeline.load_entry_features = dies_in_a_worker\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
-        src = str(Path(pipeline.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "evaluate", "--manifest", manifest_path,
-             "--tags", str(model_dir / "tags.sidtags"),
-             "--dnn", str(model_dir / "cascade.siddnn"), "--modes", "cascade"],
-            capture_output=True, text=True, timeout=120, env=env)
+        proc = run_python(script, "evaluate", "--manifest", manifest_path,
+                          "--tags", str(model_dir / "tags.sidtags"),
+                          "--dnn", str(model_dir / "cascade.siddnn"), "--modes", "cascade")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: a worker process died")
         assert "Traceback" not in proc.stderr

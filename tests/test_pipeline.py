@@ -4,14 +4,10 @@ import dataclasses
 import json
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import emosid
 from emosid import containers, pipeline
 from emosid.audio import AudioClip, load_wav, save_wav
 from emosid.corpus import Manifest, SynthSpec, generate_synthetic
@@ -28,6 +24,8 @@ from emosid.pipeline import (
     train_models,
     train_tags,
 )
+
+from conftest import run_python
 
 
 @pytest.fixture(scope="module")
@@ -342,10 +340,6 @@ class TestWorkerFailures:
             " 4, 4)\n"
             "except EmosidError as exc:\n"
             "    print(type(exc).__name__, exc)\n")
-        src = str(Path(emosid.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120, env=env)
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("EmosidError a worker process died")
