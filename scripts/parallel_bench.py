@@ -1,4 +1,4 @@
-"""Compare train's and evaluate's CPU fan-out with a parent checkout.
+"""Compare a change's CPU fan-out with a parent checkout.
 
     python3 scripts/parallel_bench.py identity --parent P --change C --out BENCH.json
     python3 scripts/parallel_bench.py timing --parent P --change C --out BENCH.json
@@ -7,15 +7,18 @@
 P and C are emosid checkouts (each with src/ and perfbench/). Each
 subcommand merges its own section into the --out JSON file.
 
-- identity: on the acceptance corpus (seed S, separation 0.35) train and
-  evaluate with the CLI in P, in C and in C under ``taskset -c 0``, and
-  compare the sha256 of every model file, report and evaluate_models record;
-  then the same in P and C with BLAS at its default thread count.
+- identity: with the CLI in P, in C and in C under ``taskset -c 0``,
+  synthesize the acceptance corpus (seed S, separation 0.35) and perfbench's
+  16 kHz extract corpus, and compare the sha256 of every WAV and manifest;
+  then train, evaluate (with --distort), extract and identify 8 test WAVs
+  on one acceptance corpus, and compare every model file, report,
+  evaluate_models record, .feat file and identify JSON; then the same in P
+  and C with BLAS at its default thread count.
 - timing: alternating pairs of perfbench ``protocol`` runs (scaled and raw
-  audio_s_per_s), each followed by one protocol pass in a fresh process that
-  reports its wall time and the CPU seconds and peak RSS of the process and
-  of its children (resource.getrusage); then a few pairs of the other
-  workloads.
+  audio_s_per_s and setup_s), each followed by one protocol pass in a fresh
+  process that reports its synthesis and work wall time and the CPU seconds
+  and peak RSS of the process and of its children (resource.getrusage);
+  then a few pairs of the other workloads.
 - tier1: the tier-1 test suite of P and of C, back to back.
 
 BLAS is pinned to one thread, as perfbench pins it, except where said.
@@ -60,8 +63,10 @@ ONE_PASS = """
 import json, resource, sys, time, wave
 from emosid import corpus, pipeline
 seed, scratch = int(sys.argv[1]), sys.argv[2]
+t0 = time.perf_counter()
 m = corpus.generate_synthetic(corpus.SynthSpec(seed=seed, num_speakers=10, repetitions=1,
                                                separation=0.35), scratch)
+synth_s = time.perf_counter() - t0
 def seconds(e):
     with wave.open(e.path, "rb") as fh:
         return fh.getnframes() / fh.getframerate()
@@ -78,7 +83,7 @@ records += pipeline.evaluate_models(m, models, cfg, modes=("cascade",), distort=
 pipeline.evaluation_report(records, cfg)
 wall = time.perf_counter() - t0
 print(json.dumps({
-    "work_s": wall, "audio_s_per_s": audio_s / wall,
+    "synth_s": synth_s, "work_s": wall, "audio_s_per_s": audio_s / wall,
     "cpu_self_s": cpu(resource.RUSAGE_SELF) - c0,
     "cpu_children_s": cpu(resource.RUSAGE_CHILDREN) - k0,
     "self_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -114,8 +119,47 @@ def merge(out: Path, section: str, value) -> None:
     out.write_text(json.dumps(data, indent=1) + "\n")
 
 
+def tree_digests(out: Path) -> dict:
+    """sha256 of every file under out, the directory name taken out of text files
+    (manifests name their WAVs by absolute path)."""
+    return {str(p.relative_to(out)): hashlib.sha256(
+        p.read_bytes().replace(str(out).encode(), b"DIR")).hexdigest()
+        for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def equal_digests(digests: dict) -> bool:
+    first = next(iter(digests.values()))
+    return all(d == first for d in digests.values())
+
+
+def corpora(args, seed: int, work: Path) -> dict:
+    """The acceptance and the 16 kHz extract corpus, synthesized in P, in C and
+    in C on one CPU."""
+    kinds = {"acceptance": ["--separation", "0.35"],
+             "extract_16k": ["--separation", "0.35", "--rate", "16000", "--repetitions", "1"]}
+    sides = [("parent", args.parent, ()), ("change", args.change, ()),
+             ("change_taskset_c0", args.change, ("taskset", "-c", "0"))]
+    result = {}
+    for kind, flags in kinds.items():
+        digests, wall = {}, {}
+        for name, checkout, prefix in sides:
+            out = work / f"{kind}-{name}"
+            t0 = time.perf_counter()
+            python(checkout, ["-m", "emosid.cli", "synth", "--out", str(out), "--seed",
+                              str(seed), *flags], prefix, False)
+            wall[name] = round(time.perf_counter() - t0, 2)
+            digests[name] = tree_digests(out)
+            if kind != "acceptance" or name != "change":
+                shutil.rmtree(out)
+        result[kind] = {"equal": equal_digests(digests), "files": len(digests["parent"]),
+                        "manifest_sha256": digests["parent"]["manifest.jsonl"],
+                        "synth_wall_s": wall}
+    return result
+
+
 def identity(args) -> dict:
-    result = {"corpus": "acceptance corpus: 1440 utterances, separation 0.35"}
+    result = {"corpus": "acceptance corpus: 1440 utterances, separation 0.35; "
+                        "extract corpus: 480 utterances at 16 kHz"}
     sides = [("parent", args.parent, (), True), ("change", args.change, (), True),
              ("change_taskset_c0", args.change, ("taskset", "-c", "0"), True),
              ("parent_blas_default", args.parent, (), False),
@@ -123,39 +167,53 @@ def identity(args) -> dict:
     for seed in args.seeds:
         work = Path(tempfile.mkdtemp(prefix=f"identity-{seed}-", dir=args.scratch))
         try:
-            corpus_dir = work / "corpus"
-            python(args.change, ["-m", "emosid.cli", "synth", "--out", str(corpus_dir),
-                                 "--seed", str(seed), "--separation", "0.35"], capture=False)
+            synth = corpora(args, seed, work)
+            corpus_dir = work / "acceptance-change"
             manifest = str(corpus_dir / "manifest.jsonl")
+            requests = sorted(corpus_dir.glob("spk0[0-7]_neutral_s4_r0.wav"))
             digests = {}
             for name, checkout, prefix, pin in sides:
                 out = work / name
                 t0 = time.perf_counter()
                 python(checkout, ["-m", "emosid.cli", "train", "--manifest", manifest,
                                   "--out", str(out), "--seed", str(seed)], prefix, False, pin)
+                models = ["--tags", str(out / "tags.sidtags"),
+                          "--dnn", str(out / "cascade.siddnn")]
                 python(checkout, ["-m", "emosid.cli", "evaluate", "--manifest", manifest,
-                                  "--tags", str(out / "tags.sidtags"),
-                                  "--dnn", str(out / "cascade.siddnn"),
-                                  "--dnn-only", str(out / "dnn_only.siddnn"), "--distort",
-                                  "--out", str(out / "evaluate_report.json")], prefix, False,
-                       pin)
+                                  *models, "--dnn-only", str(out / "dnn_only.siddnn"),
+                                  "--distort", "--out", str(out / "evaluate_report.json")],
+                       prefix, False, pin)
                 python(checkout, ["-c", RECORDS, manifest, str(out), str(seed),
                                   str(out / "records.json")], prefix, False, pin)
+                python(checkout, ["-m", "emosid.cli", "extract", "--manifest", manifest,
+                                  "--out", str(out / "feats")], prefix, False, pin)
+                for wav in requests:
+                    python(checkout, ["-m", "emosid.cli", "identify", "--wav", str(wav),
+                                      *models, "--out", str(out / f"identify-{wav.stem}.json")],
+                           prefix, False, pin)
+                wall = round(time.perf_counter() - t0, 2)
                 digests[name] = {p.name: sha256(p) for p in sorted(out.iterdir())
-                                 if p.name != "train_report.json"}
+                                 if p.is_file() and p.name != "train_report.json"}
                 # the report names its artifacts by path, which differs per side
                 report = json.loads((out / "train_report.json").read_text())["report"]
                 digests[name]["train_report.json[report]"] = hashlib.sha256(
                     json.dumps(report, sort_keys=True).encode()).hexdigest()
-                digests[name]["wall_s"] = round(time.perf_counter() - t0, 2)
+                digests[name]["feats/*.feat"] = hashlib.sha256(json.dumps(
+                    tree_digests(out / "feats")).encode()).hexdigest()
+                digests[name]["wall_s"] = wall
+                shutil.rmtree(out / "feats")
             files = [k for k in digests["parent"] if k != "wall_s"]
             result[f"seed{seed}"] = {
+                "corpora": synth,
                 "equal": all(digests[n][k] == digests["parent"][k]
                              for n, *_ in sides for k in files),
                 "files": files,
+                "identify_requests": [wav.name for wav in requests],
                 "sha256": {k: digests["parent"][k] for k in files},
                 "wall_s": {n: digests[n]["wall_s"] for n, *_ in sides}}
-            print(f"identity seed {seed}: {result[f'seed{seed}']['equal']}", flush=True)
+            print(f"identity seed {seed}: corpora "
+                  f"{[v['equal'] for v in synth.values()]}, "
+                  f"models {result[f'seed{seed}']['equal']}", flush=True)
         finally:
             shutil.rmtree(work, ignore_errors=True)
     return result
@@ -168,7 +226,9 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     row = {k: v["value"] for k, v in result["metrics"].items()}
     row["raw_audio_s_per_s"] = record["raw"]["audio_s_per_s"]
     row["work_speed"] = record["raw"]["work_speed"]
-    return row
+    row["raw_setup_s"] = statistics.median(record["raw"]["setup_s"])
+    row["setup_speed"] = record["raw"]["setup_speed"]
+    return row, record["machine"]
 
 
 def one_pass(checkout: Path, seed: int, scratch: str) -> dict:
@@ -179,6 +239,11 @@ def one_pass(checkout: Path, seed: int, scratch: str) -> dict:
         shutil.rmtree(work, ignore_errors=True)
 
 
+# the metrics a change may claim: name -> +1 if higher is better, -1 if lower
+CLAIMABLE = {"audio_s_per_s": 1, "raw_audio_s_per_s": 1, "setup_s": -1, "raw_setup_s": -1,
+             "synth_s": -1}
+
+
 def summarize(rows: dict) -> dict:
     """rows: side -> list of dicts per pair. Medians, quartiles, wins."""
     out = {}
@@ -186,12 +251,13 @@ def summarize(rows: dict) -> dict:
         p = [r[metric] for r in rows["parent"]]
         c = [r[metric] for r in rows["change"]]
         out[metric] = {"parent": stats(p), "change": stats(c)}
-        if metric in ("raw_audio_s_per_s", "audio_s_per_s"):
+        if metric in CLAIMABLE:
+            better = CLAIMABLE[metric]
             out[metric]["change_pct"] = round(
                 100.0 * (statistics.median(c) / statistics.median(p) - 1.0), 1)
-            out[metric]["wins"] = f"{sum(b > a for a, b in zip(p, c))} of {len(p)}"
-            out[metric]["median_gap_over_parent_iqr"] = round(
-                (statistics.median(c) - statistics.median(p))
+            out[metric]["wins"] = f"{sum(better * (b - a) > 0 for a, b in zip(p, c))} of {len(p)}"
+            out[metric]["median_gain_over_parent_iqr"] = round(
+                better * (statistics.median(c) - statistics.median(p))
                 / max(stats(p)["q3"] - stats(p)["q1"], 1e-12), 2)
     return out
 
@@ -207,12 +273,13 @@ def timing(args) -> dict:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                bench[side].append(perfbench(checkout, workload, seed, args.seconds))
+                row, result["machine"] = perfbench(checkout, workload, seed, args.seconds)
+                bench[side].append(row)
                 if workload == "protocol":
                     passes[side].append(one_pass(checkout, seed, args.scratch))
-            print(f"{workload} seed {seed} pair {pair}: "
-                  + " ".join(f"{s}={bench[s][-1]['audio_s_per_s']:.1f}" for s in order),
-                  flush=True)
+            print(f"{workload} seed {seed} pair {pair}: " + " ".join(
+                f"{s}={bench[s][-1]['audio_s_per_s']:.1f}/{bench[s][-1]['raw_setup_s']:.2f}s"
+                for s in order), flush=True)
         entry = {"perfbench": summarize(bench), "perfbench_runs": bench}
         if workload == "protocol":
             entry["one_pass"] = summarize(passes)

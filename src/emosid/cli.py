@@ -22,6 +22,7 @@ from . import cascade as cascade_mod
 from . import containers
 from . import gmm as gmm_mod
 from . import pipeline
+from . import workers
 from .corpus import SynthSpec, generate_synthetic, load_manifest, protocol_counts
 from .errors import ConfigError, EmosidError, ValidationError
 from .pipeline import FIELD_TYPES, PipelineConfig
@@ -120,22 +121,24 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bank = pipeline.build_bank(cfg)
-    failures = []
-    written = skipped = 0
     if not manifest.entries:
         print("warning: empty manifest, nothing to extract", file=sys.stderr)
-    for e, name in zip(manifest.entries, names):
-        dest = out_dir / name
+
+    def extract(i):  # one job per entry: "written", "skipped" or its failure
+        e, dest = manifest.entries[i], out_dir / names[i]
         if dest.exists() and not args.force:
-            skipped += 1
-            continue
+            return "skipped"
         try:
             fm = pipeline.load_entry_features(e, cfg, bank)
             containers.write_file(dest, containers.save_features(fm))
-            written += 1
         except (EmosidError, OSError) as exc:
-            failures.append({"path": e.path, "error": str(exc)})
-    _emit({"written": written, "skipped": skipped, "failures": failures})
+            return {"path": e.path, "error": str(exc)}
+        return "written"
+
+    outcomes = workers.parallel_map(extract, len(names), len(names))
+    failures = [o for o in outcomes if isinstance(o, dict)]
+    _emit({"written": outcomes.count("written"), "skipped": outcomes.count("skipped"),
+           "failures": failures})
     return 2 if failures else 0
 
 
@@ -298,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the program's GEMMs are small: BLAS threads would spin, not share work
+    workers._one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -22,6 +22,7 @@ from scipy.signal import butter, lfilter
 
 from .audio import AudioClip, save_wav
 from .errors import ValidationError
+from .workers import parallel_map
 
 EMOTIONS = ("neutral", "happy", "sad", "disgust", "angry", "fear")
 
@@ -318,26 +319,27 @@ def synthesize_utterance(spec: SynthSpec, speaker_idx: int, emotion: str,
 
 
 def generate_synthetic(spec: SynthSpec, out_dir) -> Manifest:
-    """Write the full factorial corpus plus its manifest; returns the Manifest."""
+    """Write the full factorial corpus plus its manifest; returns the Manifest.
+
+    One job per utterance renders it and writes its WAV, spread over the
+    usable CPUs by ``workers.parallel_map``. Each utterance is seeded by its
+    own index tuple, so the bytes do not depend on the CPU count. The manifest
+    is written once every WAV is."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     render = _renderer(spec)
-    emotions = EMOTIONS[:spec.num_emotions]
-    entries = []
-    total_sentences = 2 * spec.sentences_per_split
-    for spk_idx in range(spec.num_speakers):
-        speaker_id = f"spk{spk_idx:02d}"
-        for emotion in emotions:
-            for sentence_id in range(total_sentences):
-                split = "train" if sentence_id < spec.sentences_per_split else "test"
-                for rep in range(spec.repetitions):
-                    clip = render(spk_idx, emotion, sentence_id, rep)
-                    name = f"{speaker_id}_{emotion}_s{sentence_id}_r{rep}.wav"
-                    save_wav(out_dir / name, clip)
-                    entries.append(ManifestEntry(
-                        path=str(out_dir / name), speaker_id=speaker_id,
-                        emotion=emotion, sentence_id=sentence_id,
-                        repetition=rep, split=split))
+    cells = list(itertools.product(range(spec.num_speakers), EMOTIONS[:spec.num_emotions],
+                                   range(2 * spec.sentences_per_split), range(spec.repetitions)))
+    entries = [ManifestEntry(
+        path=str(out_dir / f"spk{spk_idx:02d}_{emotion}_s{sentence_id}_r{rep}.wav"),
+        speaker_id=f"spk{spk_idx:02d}", emotion=emotion, sentence_id=sentence_id,
+        repetition=rep, split="train" if sentence_id < spec.sentences_per_split else "test")
+        for spk_idx, emotion, sentence_id, rep in cells]
+
+    def write(i):
+        save_wav(entries[i].path, render(*cells[i]))
+
+    parallel_map(write, len(cells), len(cells))
     manifest = Manifest(entries=entries)
     save_manifest(manifest, out_dir / "manifest.jsonl")
     return manifest

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from emosid import pipeline
+from emosid import pipeline, workers
 from emosid.audio import AudioClip, save_wav
 from emosid.containers import TAGS_MAGIC
 from emosid.corpus import (EMOTION_PARAMS, EMOTIONS, Manifest, ManifestEntry, SynthSpec,
@@ -288,6 +288,25 @@ def tiny_corpus(tmp_path_factory):
                      duration_s=(0.8, 1.2), seed=3)
     manifest = generate_synthetic(spec, str(out))
     return spec, manifest
+
+
+class PoolSpy(workers.ProcessPoolExecutor):
+    """The workers' pool class, counting the pools started."""
+
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        PoolSpy.started += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every stage may fan out, whatever its size; counts the pools started."""
+    PoolSpy.started = 0
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", PoolSpy)
+    monkeypatch.setattr(workers, "MIN_POOL_UTTERANCES", 0)
+    return PoolSpy
 
 
 def run_python(code: str, *argv):

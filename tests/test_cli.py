@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emosid import audio, cascade, containers, dnn, pipeline
+from emosid import audio, cascade, containers, dnn, pipeline, workers
 from emosid.cli import main
 
 from conftest import run_python, v1_tag_store, v2_tag_store
@@ -62,6 +62,30 @@ class TestSynthAndValidate:
         assert code == 1 and "error" in err
 
 
+def test_cli_runs_openblas_on_one_thread(manifest_path):
+    """The CLI's own process limits every loaded OpenBLAS to one thread, also
+    when the environment leaves it at its default."""
+    script = (
+        "import ctypes, os, sys\n"
+        "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS'):\n"
+        "    os.environ.pop(name, None)\n"
+        "from emosid import cli\n"
+        "def threads():\n"
+        "    with open('/proc/self/maps') as fh:\n"
+        "        libs = {x.split()[-1] for x in fh if 'openblas' in x.lower() and '.so' in x}\n"
+        "    return [getattr(ctypes.CDLL(lib), s)() for lib in sorted(libs)\n"
+        "            for s in ('scipy_openblas_get_num_threads64_',\n"
+        "                      'scipy_openblas_get_num_threads',\n"
+        "                      'openblas_get_num_threads64_', 'openblas_get_num_threads')\n"
+        "            if hasattr(ctypes.CDLL(lib), s)]\n"
+        "assert cli.main(['validate-manifest', sys.argv[1]]) == 0\n"
+        "print(threads())\n")
+    proc = run_python(script, manifest_path)
+    assert proc.returncode == 0, proc.stderr
+    threads = json.loads(proc.stdout.splitlines()[-1])
+    assert threads and set(threads) == {1}
+
+
 class TestExtract:
     def test_extract_then_skip(self, manifest_path, tmp_path, capsys):
         out = tmp_path / "feats"
@@ -91,6 +115,31 @@ class TestExtract:
         report = json.loads(stdout)
         assert code == 2
         assert len(report["failures"]) == 1 and report["written"] == 3
+
+    def test_same_result_on_two_workers(self, corpus_dir, tmp_path, capsys, pools,
+                                        monkeypatch):
+        """One missing WAV, one .feat already there: the summary, the exit code
+        and every .feat byte are the same in-process and on two workers."""
+        rows = [json.loads(x) for x in (corpus_dir / "manifest.jsonl").read_text().splitlines()]
+        rows[1]["path"] = str(tmp_path / "missing.wav")
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        got = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"feats{cpus}"
+            out.mkdir()
+            (out / (Path(rows[5]["path"]).stem + ".feat")).write_bytes(b"kept")
+            code, stdout, _ = run(capsys, "extract", "--manifest", str(manifest),
+                                  "--out", str(out))
+            got[cpus] = code, stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert pools.started == 1
+        assert got[1] == got[2]
+        code, stdout, feats = got[2]
+        report = json.loads(stdout)
+        assert code == 2 and report["written"] == 70 and report["skipped"] == 1
+        assert [f["path"] for f in report["failures"]] == [rows[1]["path"]]
+        assert len(feats) == 71 and b"kept" in feats.values()
 
 
 class TestTrain:
@@ -522,22 +571,38 @@ class TestBadInputs:
             assert not written
 
     @pytest.mark.parametrize("case", ["train-gmm-short-wav", "evaluate-short-wav",
-                                      "train-gmm-missing-wav", "evaluate-missing-wav"])
+                                      "train-gmm-missing-wav", "evaluate-missing-wav",
+                                      "extract-short-wav"])
     def test_same_exit_from_a_worker(self, case, corpus_dir, model_dir, tmp_path, capsys,
                                      monkeypatch):
         """The stage runs on two workers; their errors keep type and message."""
-        monkeypatch.setattr(pipeline, "MIN_POOL_UTTERANCES", 0)
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "MIN_POOL_UTTERANCES", 0)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         self.test_exit_code_and_message(case, corpus_dir, model_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_synth_wav_path_is_a_directory(self, tmp_path, capsys, pools, monkeypatch, cpus):
+        """A directory where one WAV would go: exit 1 naming it, no manifest.
+        On two workers the OSError comes back from a worker as itself."""
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+        blocked = tmp_path / "spk00_neutral_s0_r0.wav"
+        blocked.mkdir()
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path), "--speakers", "2",
+                           "--sentences", "1", "--repetitions", "1")
+        assert code == 1
+        assert err.startswith("error:") and "Is a directory" in err and str(blocked) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "manifest.jsonl").exists()
+        assert pools.started == cpus - 1
 
     def test_dead_worker_exit_2(self, manifest_path, model_dir):
         """A worker that dies ends the run with exit 2 and an error line, not a
         traceback or a hang."""
         script = (
             "import os, sys\n"
-            "from emosid import cli, pipeline\n"
-            "pipeline.MIN_POOL_UTTERANCES = 0\n"
-            "pipeline._usable_cpus = lambda: 2\n"
+            "from emosid import cli, pipeline, workers\n"
+            "workers.MIN_POOL_UTTERANCES = 0\n"
+            "workers._usable_cpus = lambda: 2\n"
             "parent, load = os.getpid(), pipeline.load_entry_features\n"
             "def dies_in_a_worker(*args, **kwargs):\n"
             "    if os.getpid() != parent:\n"

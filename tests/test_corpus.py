@@ -1,6 +1,7 @@
 """Manifests and the synthetic corpus generator."""
 
 import json
+import os
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from scipy.signal import butter
 
-from emosid import corpus
+from emosid import corpus, workers
 from emosid.corpus import (
     EMOTIONS,
     _pulse_positions,
@@ -175,6 +176,13 @@ class TestSynthesize:
         assert 0.9 <= clip.duration_s <= 1.8
 
 
+def corpus_cases(test):
+    """Parametrizes test over the corpora compared byte for byte."""
+    test = pytest.mark.parametrize("rate, duration_s, reps", [
+        (12000, (1.0, 1.6), 2), (16000, (1.0, 1.6), 1), (12000, (4.0, 8.0), 1)])(test)
+    return pytest.mark.parametrize("seed", [7, 11])(test)
+
+
 class TestRenderAgainstReference:
     """The whole-array renderer against the per-pulse, per-utterance oracle in
     conftest: the same samples, the same WAV and manifest bytes."""
@@ -214,9 +222,7 @@ class TestRenderAgainstReference:
             assert got.samples.tobytes() == want.samples.tobytes()
             assert got.source_id == want.source_id
 
-    @pytest.mark.parametrize("seed", [7, 11])
-    @pytest.mark.parametrize("rate, duration_s, reps", [
-        (12000, (1.0, 1.6), 2), (16000, (1.0, 1.6), 1), (12000, (4.0, 8.0), 1)])
+    @corpus_cases
     def test_corpus_bytes(self, tmp_path, seed, rate, duration_s, reps):
         spec = SynthSpec(num_speakers=2, sentences_per_split=1, repetitions=reps,
                          sample_rate_hz=rate, duration_s=duration_s, seed=seed,
@@ -226,6 +232,26 @@ class TestRenderAgainstReference:
         reference_generate_synthetic(spec, theirs)
         assert corpus_bytes(ours) == corpus_bytes(theirs)
         assert len(corpus_bytes(ours)) == 2 * 6 * 2 * reps + 1
+
+    @corpus_cases
+    def test_corpus_bytes_on_two_workers(self, tmp_path, seed, rate, duration_s, reps, pools,
+                                          monkeypatch):
+        """The same bytes when the utterances are rendered by two workers."""
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        self.test_corpus_bytes(tmp_path, seed, rate, duration_s, reps)
+        assert pools.started == 1
+
+    def test_small_corpus_starts_no_process(self, tmp_path, monkeypatch):
+        spec = SynthSpec(num_speakers=2, sentences_per_split=1, repetitions=1,
+                         duration_s=(0.5, 0.7), seed=7)
+        assert 2 * 6 * 2 < workers.MIN_POOL_UTTERANCES
+
+        def no_fork():
+            raise AssertionError("forked below the size threshold")
+
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert len(generate_synthetic(spec, tmp_path).entries) == 24
 
 
 class DrawLog:

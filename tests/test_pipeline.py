@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from emosid import containers, pipeline
+from emosid import containers, workers
 from emosid.audio import AudioClip, load_wav, save_wav
 from emosid.corpus import Manifest, SynthSpec, generate_synthetic
 from emosid.errors import ConfigError, EmosidError, EmptyAudioError, ValidationError
@@ -20,10 +20,10 @@ from emosid.pipeline import (
     evaluation_report,
     extract_features,
     load_entry_features,
-    parallel_map,
     train_models,
     train_tags,
 )
+from emosid.workers import parallel_map
 
 from conftest import run_python
 
@@ -231,25 +231,6 @@ def test_separation_monotonicity(tmp_path):
     assert rates[0] >= rates[1] >= rates[2], rates
 
 
-class PoolSpy(pipeline.ProcessPoolExecutor):
-    """The pipeline's pool class, counting the pools started."""
-
-    started = 0
-
-    def __init__(self, *args, **kwargs):
-        PoolSpy.started += 1
-        super().__init__(*args, **kwargs)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Every stage may fan out, whatever its size; counts the pools started."""
-    PoolSpy.started = 0
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", PoolSpy)
-    monkeypatch.setattr(pipeline, "MIN_POOL_UTTERANCES", 0)
-    return PoolSpy
-
-
 def _outputs(manifest, cfg) -> tuple:
     """Every byte train and evaluate produce: models, report, records."""
     models = train_models(manifest, cfg)
@@ -266,25 +247,25 @@ class TestParallelMap:
         cfg = PipelineConfig(seed=3, epochs=5)
         got = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             got[cpus] = _outputs(manifest, cfg)
         assert pools.started == 4  # train: tags, networks; evaluate: normal, distorted
         assert got[1] == got[2]
 
     def test_small_stage_starts_no_process(self, trained, monkeypatch):
         manifest, _, _ = trained
-        assert len(manifest.split_entries("test")) < pipeline.MIN_POOL_UTTERANCES
+        assert len(manifest.split_entries("test")) < workers.MIN_POOL_UTTERANCES
 
         def no_fork():
             raise AssertionError("forked below the size threshold")
 
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", no_fork)
         cfg = PipelineConfig(seed=3, epochs=2)
         evaluate_models(manifest, train_models(manifest, cfg), cfg, modes=("gmm",))
 
     def test_order_kept_and_one_item_in_process(self, pools, monkeypatch):
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         assert parallel_map(lambda i: (i, os.getpid()), 1, 1) == [(0, os.getpid())]
         assert pools.started == 0
         got = parallel_map(lambda i: (i, os.getpid()), 40, 40)
@@ -316,7 +297,7 @@ class TestWorkerFailures:
     def test_typed_error_from_a_worker(self, broken, pools, monkeypatch, tmp_path, split,
                                        name, error, message):
         with_path, models = broken
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         manifest = with_path(split, tmp_path / name)
         cfg = PipelineConfig(seed=3, epochs=2)
         with pytest.raises(error, match=message) as info:
@@ -330,13 +311,13 @@ class TestWorkerFailures:
     def test_dead_worker_is_an_emosid_error(self):
         script = (
             "import os\n"
-            "from emosid import pipeline\n"
+            "from emosid import workers\n"
             "from emosid.errors import EmosidError\n"
-            "pipeline.MIN_POOL_UTTERANCES = 0\n"
-            "pipeline._usable_cpus = lambda: 2\n"
+            "workers.MIN_POOL_UTTERANCES = 0\n"
+            "workers._usable_cpus = lambda: 2\n"
             "parent = os.getpid()\n"
             "try:\n"
-            "    pipeline.parallel_map(lambda i: os._exit(3) if os.getpid() != parent else i,"
+            "    workers.parallel_map(lambda i: os._exit(3) if os.getpid() != parent else i,"
             " 4, 4)\n"
             "except EmosidError as exc:\n"
             "    print(type(exc).__name__, exc)\n")
