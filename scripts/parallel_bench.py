@@ -19,6 +19,12 @@ subcommand merges its own section into the --out JSON file.
   process that reports its synthesis and work wall time and the CPU seconds
   and peak RSS of the process and of its children (resource.getrusage);
   then a few pairs of the other workloads.
+- extract: whole ``emosid extract`` processes on perfbench's 16 kHz extract
+  corpus (480 utterances at seed S), alternating P and C, each in a fresh
+  process with a fresh output directory: wall time and the CPU seconds of
+  the process and its workers, with BLAS pinned (the fan-out alone) and at
+  its default (as a user runs it); then alternating pairs of perfbench
+  ``extract`` runs.
 - tier1: the tier-1 test suite of P and of C, back to back.
 
 BLAS is pinned to one thread, as perfbench pins it, except where said.
@@ -30,6 +36,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -76,7 +83,7 @@ cfg = pipeline.PipelineConfig(seed=seed)
 def cpu(who):
     r = resource.getrusage(who)
     return r.ru_utime + r.ru_stime
-c0, k0, t0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_CHILDREN), time.perf_counter()
+c0, k0, t0 = cpu(resource.RUSAGE_SELF), children_cpu_s(), time.perf_counter()
 models = pipeline.train_models(m, cfg)
 records = pipeline.evaluate_models(m, models, cfg)
 records += pipeline.evaluate_models(m, models, cfg, modes=("cascade",), distort=True)
@@ -85,7 +92,7 @@ wall = time.perf_counter() - t0
 print(json.dumps({
     "synth_s": synth_s, "work_s": wall, "audio_s_per_s": audio_s / wall,
     "cpu_self_s": cpu(resource.RUSAGE_SELF) - c0,
-    "cpu_children_s": cpu(resource.RUSAGE_CHILDREN) - k0,
+    "cpu_children_s": children_cpu_s() - k0,
     "self_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "children_maxrss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}))
 """
@@ -101,6 +108,12 @@ def python(checkout: Path, argv, prefix=(), capture=True, pin_blas=True) -> str:
                           cwd=checkout, check=True, text=True,
                           stdout=subprocess.PIPE if capture else subprocess.DEVNULL)
     return proc.stdout if capture else ""
+
+
+def children_cpu_s() -> float:
+    """CPU seconds of every child process reaped so far, and of their children."""
+    r = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return r.ru_utime + r.ru_stime
 
 
 def sha256(path: Path) -> str:
@@ -241,7 +254,7 @@ def one_pass(checkout: Path, seed: int, scratch: str) -> dict:
 
 # the metrics a change may claim: name -> +1 if higher is better, -1 if lower
 CLAIMABLE = {"audio_s_per_s": 1, "raw_audio_s_per_s": 1, "setup_s": -1, "raw_setup_s": -1,
-             "synth_s": -1}
+             "synth_s": -1, "wall_s": -1, "cpu_s": -1}
 
 
 def summarize(rows: dict) -> dict:
@@ -288,6 +301,47 @@ def timing(args) -> dict:
     return result
 
 
+def extract(args) -> dict:
+    seed = args.seeds[0]
+    work = Path(tempfile.mkdtemp(prefix="extract-", dir=args.scratch))
+    manifest = work / "corpus" / "manifest.jsonl"
+    python(args.parent, ["-m", "emosid.cli", "synth", "--out", str(manifest.parent), "--seed",
+                         str(seed), "--separation", "0.35", "--rate", "16000",
+                         "--repetitions", "1"], capture=False)
+    utterances = len(manifest.read_text().splitlines())
+    result = {"seed": seed, "utterances": utterances, "pairs": args.pairs}
+    for blas, pin in (("blas_pinned", True), ("blas_default", False)):
+        runs = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                out = work / f"feats-{side}"
+                shutil.rmtree(out, ignore_errors=True)
+                k0, t0 = children_cpu_s(), time.perf_counter()
+                summary = json.loads(python(getattr(args, side), [
+                    "-m", "emosid.cli", "extract", "--manifest", str(manifest),
+                    "--out", str(out)], pin_blas=pin))
+                runs[side].append({"wall_s": round(time.perf_counter() - t0, 3),
+                                   "cpu_s": round(children_cpu_s() - k0, 3)})
+                if summary["written"] != utterances or summary["failures"]:
+                    raise SystemExit(f"{side} extract wrote {summary}")
+            print(f"cli extract {blas} pair {pair}: " + " ".join(
+                f"{s}={runs[s][-1]['wall_s']:.2f}s" for s in order), flush=True)
+        result[f"cli/{blas}"] = {"summary": summarize(runs), "runs": runs}
+    shutil.rmtree(work)
+    bench = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            row, result["machine"] = perfbench(getattr(args, side), "extract", seed,
+                                               args.seconds)
+            bench[side].append(row)
+        print(f"perfbench extract pair {pair}: " + " ".join(
+            f"{s}={bench[s][-1]['raw_audio_s_per_s']:.1f}" for s in order), flush=True)
+    result["perfbench"] = {"summary": summarize(bench), "runs": bench}
+    return result
+
+
 def tier1(args) -> dict:
     result = {"command": "python -m pytest -q --continue-on-collection-errors"}
     for name, checkout in (("parent", args.parent), ("change", args.change)):
@@ -304,7 +358,7 @@ def tier1(args) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    p.add_argument("command", choices=("identity", "timing", "tier1"))
+    p.add_argument("command", choices=("identity", "timing", "extract", "tier1"))
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
@@ -315,7 +369,7 @@ def main(argv=None) -> int:
     p.add_argument("--scratch", default=None, help="directory for corpora and models")
     args = p.parse_args(argv)
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
-    merge(args.out, args.command, {"identity": identity, "timing": timing,
+    merge(args.out, args.command, {"identity": identity, "timing": timing, "extract": extract,
                                    "tier1": tier1}[args.command](args))
     return 0
 

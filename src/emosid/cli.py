@@ -301,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # the program's GEMMs are small: BLAS threads would spin, not share work
-    workers._one_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -312,5 +310,13 @@ def main(argv=None) -> int:
         return 1 if isinstance(exc, (ValidationError, ConfigError, OSError)) else 2
 
 
+def run(argv=None) -> int:
+    """The ``emosid`` program: main() with every loaded OpenBLAS on one thread.
+    The program's GEMMs are small, and BLAS threads would spin on them rather
+    than share the work. main() alone leaves BLAS as its caller set it."""
+    workers._one_blas_thread()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -63,8 +63,9 @@ class TestSynthAndValidate:
 
 
 def test_cli_runs_openblas_on_one_thread(manifest_path):
-    """The CLI's own process limits every loaded OpenBLAS to one thread, also
-    when the environment leaves it at its default."""
+    """The ``emosid`` program limits every loaded OpenBLAS to one thread, also
+    when the environment leaves it at its default; main() called in-process
+    leaves BLAS as it found it."""
     script = (
         "import ctypes, os, sys\n"
         "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS'):\n"
@@ -78,7 +79,10 @@ def test_cli_runs_openblas_on_one_thread(manifest_path):
         "                      'scipy_openblas_get_num_threads',\n"
         "                      'openblas_get_num_threads64_', 'openblas_get_num_threads')\n"
         "            if hasattr(ctypes.CDLL(lib), s)]\n"
+        "default = threads()\n"
         "assert cli.main(['validate-manifest', sys.argv[1]]) == 0\n"
+        "assert threads() == default\n"
+        "assert cli.run(['validate-manifest', sys.argv[1]]) == 0\n"
         "print(threads())\n")
     proc = run_python(script, manifest_path)
     assert proc.returncode == 0, proc.stderr
