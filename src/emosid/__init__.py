@@ -7,10 +7,9 @@ log-likelihood vectors to a speaker posterior.
 
 from .audio import AudioClip, FrameSet, load_wav, resample, pre_emphasize, \
     frame_and_window, mix_interference
-from .features import FeatureMatrix, MelFilterbank, hz_to_mel, mel_to_hz, \
-    power_spectrum, build_filterbank, mfcc
-from .gmm import GmmTag, TagStore, em_fit, score_utterance, frame_scores, gmm_identify
-from .dnn import DnnModel, relu, forward, train
+from .features import FeatureMatrix, MelFilterbank, power_spectrum, build_filterbank, mfcc
+from .gmm import TagStore, em_fit, frame_scores, gmm_identify
+from .dnn import DnnModel, forward, train
 from .cascade import SegmentPlan, segment, likelihood_vectors, pooled_stats, classify
 from .evaluation import TrialRecord, sid_performance, students_t, \
     confusion_matrix, compare_two

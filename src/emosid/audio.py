@@ -229,10 +229,12 @@ def mix_interference(clip: AudioClip, noise: AudioClip, power_ratio: float,
     if clip.sample_rate_hz != noise.sample_rate_hz:
         raise RateMismatchError(
             f"clip at {clip.sample_rate_hz} Hz vs noise at {noise.sample_rate_hz} Hz")
-    if power_ratio <= 0:
-        raise ConfigError(f"power_ratio must be positive, got {power_ratio}")
+    if not 0 < power_ratio < np.inf:
+        raise ConfigError(f"power_ratio must be positive and finite, got {power_ratio}")
     if mode not in MIX_MODES:
         raise ConfigError(f"unknown mix mode {mode!r}")
+    if len(clip.samples) == 0 or len(noise.samples) == 0:
+        raise EmptyAudioError("cannot mix an empty clip or empty interference")
 
     x = clip.samples
     n = _tile_to_length(noise.samples, len(x))
@@ -247,7 +249,7 @@ def mix_interference(clip: AudioClip, noise: AudioClip, power_ratio: float,
         gain = np.sqrt(p_sig / p_noise) / power_ratio
 
     mixed = x + gain * n
-    peak = float(np.max(np.abs(mixed))) if len(mixed) else 0.0
+    peak = float(np.max(np.abs(mixed)))
     peak_scale = 1.0
     if peak > 1.0:
         peak_scale = 1.0 / peak

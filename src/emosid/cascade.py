@@ -22,7 +22,7 @@ from .errors import ConfigError, DimensionError
 from .features import FeatureMatrix
 from .gmm import TagStore
 
-AGGREGATIONS = ("mean", "geometric")
+AGGREGATIONS = ("mean",)
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,6 @@ def pooled_stats(store: TagStore, features, spans) -> np.ndarray:
                      for a, b in spans])
 
 
-def _aggregate(posteriors: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "mean":
-        return posteriors.mean(axis=0)
-    if mode == "geometric":
-        logp = np.log(np.maximum(posteriors, 1e-300)).mean(axis=0)
-        logp -= logp.max()
-        p = np.exp(logp)
-        return p / p.sum()
-    raise ConfigError(f"unknown aggregation mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class Decision:
     speaker_id: str
@@ -118,8 +107,10 @@ def classify(store: TagStore, model: dnn_mod.DnnModel, features: FeatureMatrix,
 
     inputs(store, features, spans) gives the DNN's row for each segment:
     ``likelihood_vectors`` for the cascade, ``pooled_stats`` for the
-    DNN-alone ablation.
+    DNN-alone ablation. aggregation must be "mean", the one mode.
     """
+    if aggregation not in AGGREGATIONS:
+        raise ConfigError(f"unknown aggregation mode {aggregation!r}")
     if model.output_size != len(store.speaker_roster):
         raise ConfigError(
             f"DNN output size {model.output_size} != speaker count "
@@ -131,7 +122,7 @@ def classify(store: TagStore, model: dnn_mod.DnnModel, features: FeatureMatrix,
             f"DNN input size {model.input_size} != segment input width {rows.shape[1]}")
     posteriors, _ = dnn_mod.forward(model, rows)
     posteriors = np.atleast_2d(posteriors)
-    utt_posterior = _aggregate(posteriors, aggregation)
+    utt_posterior = posteriors.mean(axis=0)
     best = int(np.argmax(utt_posterior))
     tie = int(np.sum(utt_posterior == utt_posterior[best])) > 1
     per_segment = [{"span": list(span), "posterior": p.tolist()}

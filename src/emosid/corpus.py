@@ -21,7 +21,7 @@ import numpy as np
 from scipy.signal import butter, lfilter
 
 from .audio import AudioClip, save_wav
-from .errors import ValidationError
+from .errors import EmptyAudioError, ValidationError
 from .workers import parallel_map
 
 EMOTIONS = ("neutral", "happy", "sad", "disgust", "angry", "fear")
@@ -360,6 +360,8 @@ def interference_clip(length: int, sample_rate_hz: int, seed) -> AudioClip:
     real power at the requested mixing ratio but only partially masks the
     speech band, in the spirit of the mild degradation the protocol probes.
     """
+    if length < 1:
+        raise EmptyAudioError(f"interference of {length} samples requested")
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(length + 256)
     b, a = _rumble_filter(sample_rate_hz)

@@ -68,11 +68,9 @@ class TTestResult:
     CRITICAL_VALUE = 1.645  # one-sided, 0.05 level
 
 
-def students_t(sample1, sample2, sample_sd: bool = True) -> TTestResult:
-    """Two-sample t with equal sizes and pooled SD sqrt((SD1^2+SD2^2)/2).
-
-    sample_sd selects the n-1 denominator (default) vs population SD.
-    """
+def students_t(sample1, sample2) -> TTestResult:
+    """Two-sample t with equal sizes and pooled SD sqrt((SD1^2+SD2^2)/2),
+    each SD a sample SD (n-1 denominator)."""
     a = np.asarray(sample1, dtype=np.float64)
     b = np.asarray(sample2, dtype=np.float64)
     if len(a) != len(b):
@@ -80,9 +78,8 @@ def students_t(sample1, sample2, sample_sd: bool = True) -> TTestResult:
     if len(a) < 2:
         raise ValidationError("need at least 2 observations per sample")
 
-    ddof = 1 if sample_sd else 0
-    sd1 = float(np.std(a, ddof=ddof))
-    sd2 = float(np.std(b, ddof=ddof))
+    sd1 = float(np.std(a, ddof=1))
+    sd2 = float(np.std(b, ddof=1))
     sd_pooled = float(np.sqrt((sd1 ** 2 + sd2 ** 2) / 2.0))
     m1, m2 = float(np.mean(a)), float(np.mean(b))
 
@@ -99,21 +96,21 @@ def students_t(sample1, sample2, sample_sd: bool = True) -> TTestResult:
                        infinite=infinite)
 
 
-def confusion_matrix(records, speakers=None) -> dict:
-    """Per-emotion S x S count matrices; entry (i, j) = true i predicted j."""
+def confusion_matrix(records) -> dict:
+    """Per-emotion S x S count matrices over the sorted speakers that occur
+    in the records; entry (i, j) = true i predicted j."""
     records = list(records)
     if not records:
         raise ValidationError("no trial records")
-    if speakers is None:
-        speakers = sorted({r.true_speaker for r in records}
-                          | {r.predicted_speaker for r in records})
+    speakers = sorted({r.true_speaker for r in records}
+                      | {r.predicted_speaker for r in records})
     index = {spk: k for k, spk in enumerate(speakers)}
     matrices = {}
     for rec in records:
         mat = matrices.setdefault(
             rec.emotion, np.zeros((len(speakers), len(speakers)), dtype=np.int64))
         mat[index[rec.true_speaker], index[rec.predicted_speaker]] += 1
-    return {"speakers": list(speakers), "matrices": matrices}
+    return {"speakers": speakers, "matrices": matrices}
 
 
 def compare_two(table_a: PerformanceTable, table_b: PerformanceTable,

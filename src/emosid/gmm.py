@@ -95,12 +95,10 @@ def _pairwise_into_first(planes: np.ndarray) -> np.ndarray:
     return planes[0]
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along one axis, on a copy. Along the last axis it
-    equals scipy.special.logsumexp bit for bit; along another, the sum still
-    runs in the pairwise order of a contiguous row, while scipy's strided
-    sum does not, so rows with ties or -inf entries can differ in last bits."""
-    return _logsumexp_planes(np.moveaxis(a, axis, 0).copy())
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) along the last axis, on a copy; it equals
+    scipy.special.logsumexp bit for bit."""
+    return _logsumexp_planes(np.moveaxis(a, -1, 0).copy())
 
 
 def _component_terms(means: np.ndarray, variances: np.ndarray):

@@ -321,7 +321,8 @@ class TestMixInterference:
             mix_interference(sine_clip(100, 8000), sine_clip(100, 16000), 2.0)
 
     @pytest.mark.parametrize("power_ratio, mode", [(0.0, "power"), (-2.0, "amplitude"),
-                                                   (2.0, "db")])
+                                                   (2.0, "db"), (np.nan, "power"),
+                                                   (np.inf, "amplitude")])
     def test_bad_ratio_or_mode(self, power_ratio, mode):
         with pytest.raises(ConfigError):
             mix_interference(sine_clip(100, 8000), sine_clip(300, 8000), power_ratio, mode)
@@ -329,6 +330,12 @@ class TestMixInterference:
     def test_silent_noise(self):
         with pytest.raises(DegenerateNoiseError):
             mix_interference(sine_clip(100, 8000), AudioClip(np.zeros(100), 8000), 2.0)
+
+    @pytest.mark.parametrize("clip_len, noise_len", [(100, 0), (0, 100), (0, 0)])
+    def test_empty_clip_or_noise(self, clip_len, noise_len):
+        with pytest.raises(EmptyAudioError):
+            mix_interference(AudioClip(np.full(clip_len, 0.1), 8000),
+                             AudioClip(np.full(noise_len, 0.1), 8000), 2.0)
 
     def test_peak_normalization_recorded(self):
         sig = AudioClip(np.full(100, 0.9), 8000)

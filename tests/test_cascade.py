@@ -249,12 +249,11 @@ class TestClassify:
         with pytest.raises(ConfigError):
             classify(store, wrong_out, fm(120, rng=rng), PLAN, "mean")
 
-    def test_geometric_aggregation(self, setup, rng):
+    @pytest.mark.parametrize("aggregation", ["geometric", "median"])
+    def test_unknown_aggregation_refused(self, setup, rng, aggregation):
         store, model = setup
-        dec = classify(store, model, fm(250, rng=rng), PLAN, "geometric")
-        assert abs(dec.posterior.sum() - 1.0) < 1e-9
         with pytest.raises(ConfigError):
-            classify(store, model, fm(250, rng=rng), PLAN, "median")
+            classify(store, model, fm(250, rng=rng), PLAN, aggregation)
 
 
 class TestClassifyDnnOnly:

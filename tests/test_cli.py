@@ -333,8 +333,11 @@ class TestTypedFailures:
 
     @pytest.mark.parametrize("args", [["--distort", "--snr-ratio", "0"],
                                       ["--config", {"snr_mode": "db"}],
-                                      ["--config", {"aggregation": "median"}]],
-                             ids=["snr-ratio", "snr-mode", "aggregation"])
+                                      ["--config", {"aggregation": "median"}],
+                                      ["--modes", "cascade",
+                                       "--config", {"aggregation": "geometric"}]],
+                             ids=["snr-ratio", "snr-mode", "aggregation",
+                                  "aggregation-geometric"])
     def test_bad_config_evaluate_exit_1_before_reading_audio(
             self, manifest_path, model_dir, tmp_path, capsys, monkeypatch, args):
         def no_audio(*args, **kwargs):
@@ -343,7 +346,7 @@ class TestTypedFailures:
         monkeypatch.setattr(audio, "load_wav", no_audio)
         if isinstance(args[-1], dict):
             (tmp_path / "cfg.json").write_text(json.dumps(args[-1]))
-            args = [args[0], str(tmp_path / "cfg.json")]
+            args = [*args[:-1], str(tmp_path / "cfg.json")]
         code, _, err = run(capsys, "evaluate", "--manifest", manifest_path,
                            "--tags", str(model_dir / "tags.sidtags"),
                            "--dnn", str(model_dir / "cascade.siddnn"), *args)

@@ -28,7 +28,7 @@ from emosid.corpus import (
     synthesize_utterance,
     validate_manifest,
 )
-from emosid.errors import ValidationError
+from emosid.errors import EmptyAudioError, ValidationError
 
 from conftest import (reference_generate_synthetic, reference_pulse_positions,
                       reference_synthesize_utterance)
@@ -333,6 +333,10 @@ class TestInterference:
         np.testing.assert_array_equal(a.samples, b.samples)
         assert abs(np.max(np.abs(a.samples)) - 1.0) < 1e-12
         assert len(a.samples) == 4000
+
+    def test_empty_length_refused(self):
+        with pytest.raises(EmptyAudioError):
+            interference_clip(0, 12000, (1,))
 
     def test_filter_designed_once_read_only(self):
         b, a = _rumble_filter(12000)

@@ -104,11 +104,6 @@ class TestStudentsT:
         with pytest.raises(ValidationError):
             students_t([1, 2, 3], [1, 2])
 
-    def test_population_sd_option(self):
-        r = students_t([80, 82, 84], [70, 72, 74], sample_sd=False)
-        pop_sd = np.std([80, 82, 84])
-        assert abs(r.sd1 - pop_sd) < 1e-12
-
 
 class TestConfusionMatrix:
     def _recs(self, pairs, emotion="neutral"):

@@ -1,9 +1,12 @@
 """Pipeline orchestration: feature extraction wiring, training, reports."""
 
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +75,8 @@ def test_entry_features_are_the_front_end(tmp_path):
                                           ("snr_mode", "db"), ("aggregation", "median"),
                                           ("fft_size", 0), ("gmm_max_iters", 0),
                                           ("gmm_tol", -1e-4), ("seed", -1), ("num_coeffs", 0),
-                                          ("num_coeffs", 27), ("log_floor", 0.0)])
+                                          ("num_coeffs", 27), ("log_floor", 0.0),
+                                          ("aggregation", "geometric")])
 def test_config_validated_at_construction(field, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{field: value})
@@ -108,6 +112,20 @@ def test_clip_shorter_than_one_frame_is_a_validation_error():
 def test_config_refuses_wrong_type(field, value):
     with pytest.raises(ConfigError, match=f"'{field}'"):
         PipelineConfig(**{field: value})
+
+
+def test_readme_library_example_imports_resolve():
+    """Every name the README's Library example imports, from the package
+    root or a module, is still there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    imports = [node for node in ast.walk(ast.parse(code)) if isinstance(node, ast.ImportFrom)]
+    assert any(node.module == "emosid" for node in imports)
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
 
 
 def test_config_takes_json_forms():
