@@ -76,7 +76,7 @@ def likelihood_vectors(store: TagStore, features, spans) -> np.ndarray:
     """Mean log-likelihood of each frame span against every tag: (S, K).
 
     Row s is span s, columns are tags in roster order; each entry equals
-    ``gmm.score_utterance(tag, features[a:b])`` bit for bit.
+    ``gmm.score_utterance(tag, features[a:b])`` to 1e-14 relative.
     """
     scores = gmm_mod.frame_scores(store, features)
     _check_spans(spans, scores.shape[1])
@@ -121,7 +121,6 @@ def classify(store: TagStore, model: dnn_mod.DnnModel, features: FeatureMatrix,
         raise ConfigError(
             f"DNN input size {model.input_size} != segment input width {rows.shape[1]}")
     posteriors, _ = dnn_mod.forward(model, rows)
-    posteriors = np.atleast_2d(posteriors)
     utt_posterior = posteriors.mean(axis=0)
     best = int(np.argmax(utt_posterior))
     tie = int(np.sum(utt_posterior == utt_posterior[best])) > 1

@@ -189,7 +189,7 @@ def cmd_identify(args) -> int:
     plan = cfg.segment_plan()
     decision = cascade_mod.classify(models.tag_store, models.cascade_dnn, fm,
                                     plan, cfg.aggregation)
-    gmm_decision, gmm_detail = gmm_mod.gmm_identify(models.tag_store, fm)
+    gmm_decision, _ = gmm_mod.gmm_identify(models.tag_store, fm)
     record = {
         "decision": decision.speaker_id,
         "posterior": decision.posterior.tolist(),

@@ -6,8 +6,10 @@ far-out frames never underflow to -inf.
 
 A ``TagStore`` holds all tags as stacked (K, M, D) arrays in roster order.
 ``frame_scores`` scores an utterance against every tag of a store at once,
-``score_utterance`` against one tag; they agree to 1e-14 relative, and bit
-for bit where both matrix products tile alike (8 or 16 mixtures, not 9).
+``score_utterance`` against one tag. They and EM's E-step share one kernel,
+``_log_planes``, and one log-sum-exp; a one-tag store scores exactly as its
+tag does, and a K-tag store agrees with each of its tags to 1e-14 relative,
+bit for bit where both matrix products tile alike (8 or 16 mixtures, not 9).
 
 Scores are shared per (store, ``FeatureMatrix``) pair: a store keeps the
 matrix of the last ``FeatureMatrix`` it scored, so the cascade and GMM-alone
@@ -95,45 +97,60 @@ def _pairwise_into_first(planes: np.ndarray) -> np.ndarray:
     return planes[0]
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) along the last axis, on a copy; it equals
-    scipy.special.logsumexp bit for bit."""
-    return _logsumexp_planes(np.moveaxis(a, -1, 0).copy())
-
-
-def _component_terms(means: np.ndarray, variances: np.ndarray):
-    """Per-component terms of the log density: 1/var, mean/var,
-    sum(mean^2/var) and the normalizing constant. Sums run over the last
-    (feature) axis, so one tag's (M, D) arrays and a store's (K, M, D)
+def _component_terms(weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
+    """Per-component terms of log w + log N(x | component): 1/var, mean/var,
+    sum(mean^2/var), the normalizing constant and log w. Sums run over the
+    last (feature) axis, so one tag's arrays and a store's stacked (K, ...)
     arrays give the same values."""
     inv = 1.0 / variances
     const = -0.5 * (means.shape[-1] * _LOG_2PI + np.sum(np.log(variances), axis=-1))
-    return inv, means * inv, np.sum(means ** 2 * inv, axis=-1), const
+    return inv, means * inv, np.sum(means ** 2 * inv, axis=-1), const, np.log(weights)
 
 
-def log_component_densities(tag: GmmTag, x: np.ndarray) -> np.ndarray:
-    """Log N(x | mu_i, diag(var_i)) for all components; x is (T, D) or (D,)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != tag.dim:
-        raise DimensionError(f"feature dim {x.shape[1]} != model dim {tag.dim}")
-    inv, mean_inv, mean2_inv, const = _component_terms(tag.means, tag.variances)
-    quad = (x ** 2) @ inv.T - 2.0 * (x @ mean_inv.T) + mean2_inv
-    return const - 0.5 * quad  # (T, M)
+def _log_planes(data, terms, k: int) -> np.ndarray:
+    """log w + log N(x | component) of every frame under every component of
+    k tags, as component-major (M, T, k) planes: planes[j, t, i] is component
+    j of tag i. terms are those of ``_component_terms`` in rows j*k + i: a
+    store's derived fields, or one tag's own arrays with k = 1.
+
+    One pair of matrix products over all M*k columns, the affine passes in
+    place, the last written transposed into the planes. Elementwise passes
+    keep their bytes in any layout; the products do not: blocks of frames, a
+    transposed product or one product per component change the BLAS kernel
+    shapes and last bits."""
+    inv, mean_inv, mean2_inv, const, log_w = terms
+    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if x.shape[0] == 0:
+        raise EmptyUtteranceError("cannot score an utterance with no frames")
+    if x.shape[1] != inv.shape[1]:
+        raise DimensionError(f"feature dim {x.shape[1]} != model dim {inv.shape[1]}")
+    logp = (x ** 2) @ inv.T  # (T, M*k)
+    cross = x @ mean_inv.T
+    cross *= 2.0
+    logp -= cross
+    logp += mean2_inv
+    logp *= 0.5
+    np.subtract(const, logp, out=logp)
+    t = len(x)
+    planes = cross.reshape(-1, t, k)  # cross's buffer; component j is planes[j]
+    np.add(logp.reshape(t, -1, k).swapaxes(0, 1), log_w.reshape(-1, 1, k), out=planes)
+    return planes
 
 
-def log_mixture_density(tag: GmmTag, x: np.ndarray) -> np.ndarray:
-    """log sum_i w_i b_i(x), via log-sum-exp. Returns (T,) (or scalar for 1-D x)."""
-    scalar = np.asarray(x).ndim == 1
-    out = _logsumexp(log_component_densities(tag, x) + np.log(tag.weights))
-    return float(out[0]) if scalar else out
+def _tag_planes(tag: GmmTag, data) -> np.ndarray:
+    """``_log_planes`` of one tag, as (M, T)."""
+    return _log_planes(data, _component_terms(tag.weights, tag.means, tag.variances), 1)[..., 0]
 
 
 def _e_step(tag: GmmTag, data: np.ndarray):
     """Per-frame log-likelihood (T,) and posterior component memberships
-    (T, M), whose rows sum to 1."""
-    logb = log_component_densities(tag, data) + np.log(tag.weights)
-    frame_ll = _logsumexp(logb)
-    return frame_ll, np.exp(logb - frame_ll[:, None])
+    (T, M), whose rows sum to 1. The memberships are C-ordered: the M-step's
+    sums over frames add in that order."""
+    planes = _tag_planes(tag, data)
+    resp = planes.T.copy()
+    frame_ll = _logsumexp_planes(planes)
+    resp -= frame_ll[:, None]
+    return frame_ll, np.exp(resp, out=resp)
 
 
 def _farthest_point_init(data: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -222,7 +239,7 @@ def score_utterance(tag: GmmTag, features) -> float:
     data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
     if data.shape[0] == 0:
         raise EmptyUtteranceError("cannot score an utterance with no frames")
-    return float(np.mean(log_mixture_density(tag, data)))
+    return float(np.mean(_logsumexp_planes(_tag_planes(tag, data))))
 
 
 @dataclass
@@ -269,7 +286,7 @@ class TagStore:
         if not (self.variances > 0).all() or (self.weights < 0).any():
             raise ValidationError("tag variances must be positive and weights non-negative")
         with np.errstate(divide="ignore"):  # a zero weight's log is -inf, silently
-            terms = (*_component_terms(self.means, self.variances), np.log(self.weights))
+            terms = _component_terms(self.weights, self.means, self.variances)
         self._inv, self._mean_inv = (t.swapaxes(0, 1).reshape(-1, self.dim) for t in terms[:2])
         self._mean2_inv, self._const, self._log_w = (t.T.ravel() for t in terms[2:])
 
@@ -284,12 +301,12 @@ class TagStore:
 def frame_scores(store: TagStore, features) -> np.ndarray:
     """Log-likelihood of every frame under every tag, as a (K, T) matrix.
 
-    Row k is tag k in roster order and is contiguous. It matches
-    ``log_mixture_density(tag_k, data)`` to 1e-14 relative, with the same
-    bytes when the (T, M*K) and (T, M) products tile alike, as at 8 and 16
-    mixtures. For a ``FeatureMatrix`` the matrix is read-only and kept on the
-    store until another ``FeatureMatrix`` is scored: a second call on the
-    same object returns it."""
+    Row k is tag k in roster order and is contiguous. It matches the row of
+    a store of tag k alone to 1e-14 relative, with the same bytes when the
+    (T, M*K) and (T, M) products tile alike, as at 8 and 16 mixtures. For a
+    ``FeatureMatrix`` the matrix is read-only and kept on the store until
+    another ``FeatureMatrix`` is scored: a second call on the same object
+    returns it."""
     if not isinstance(features, FeatureMatrix):
         return _score(store, features)
     # one read and one write of the entry: concurrent callers may each score
@@ -304,28 +321,10 @@ def frame_scores(store: TagStore, features) -> np.ndarray:
 
 
 def _score(store: TagStore, data) -> np.ndarray:
-    """``frame_scores`` without the memo: one pair of matrix products over
-    all M*K columns, the float operations of ``log_component_densities`` in
-    place, the last written transposed into component-major (M, T, K) planes,
-    and one log-sum-exp over the planes. Elementwise passes keep their bytes
-    in any layout; the products do not: blocks of frames, a transposed product
-    or one product per component change the BLAS kernel shapes and last bits."""
-    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise EmptyUtteranceError("cannot score an utterance with no frames")
-    if x.shape[1] != store.dim:
-        raise DimensionError(f"feature dim {x.shape[1]} != store dim {store.dim}")
-    logp = (x ** 2) @ store._inv.T  # (T, M*K)
-    cross = x @ store._mean_inv.T
-    cross *= 2.0
-    logp -= cross
-    logp += store._mean2_inv
-    logp *= 0.5
-    np.subtract(store._const, logp, out=logp)
-    t, k = len(x), len(store)
-    planes = cross.reshape(-1, t, k)  # cross's buffer; component j is planes[j]
-    np.add(logp.reshape(t, -1, k).swapaxes(0, 1), store._log_w.reshape(-1, 1, k), out=planes)
-    return np.ascontiguousarray(_logsumexp_planes(planes).T)
+    """``frame_scores`` without the memo: the store's planes and one
+    log-sum-exp over them."""
+    terms = (store._inv, store._mean_inv, store._mean2_inv, store._const, store._log_w)
+    return np.ascontiguousarray(_logsumexp_planes(_log_planes(data, terms, len(store))).T)
 
 
 def gmm_identify(store: TagStore, features):

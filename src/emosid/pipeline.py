@@ -179,9 +179,9 @@ def load_entry_features(entry, cfg: PipelineConfig, bank=None,
                         distort: bool = False) -> FeatureMatrix:
     """Features of one manifest entry; with distort, interference is mixed in
     at the working rate before the front end."""
-    clip = audio_mod.resample(audio_mod.load_wav(entry.path), cfg.target_rate_hz)
+    clip = audio_mod.load_wav(entry.path)
     if distort:
-        clip = _distort(clip, cfg, entry)
+        clip = _distort(audio_mod.resample(clip, cfg.target_rate_hz), cfg, entry)
     return extract_features(clip, cfg, bank)
 
 

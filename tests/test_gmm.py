@@ -16,12 +16,10 @@ from emosid.gmm import (
     GmmTag,
     TagStore,
     _e_step,
-    _logsumexp,
+    _logsumexp_planes,
     em_fit,
     frame_scores,
     gmm_identify,
-    log_component_densities,
-    log_mixture_density,
     score_utterance,
 )
 
@@ -43,17 +41,21 @@ def direct_mixture_density(tag, x):
     return np.log(total)
 
 
+def one_tag_store(tag):
+    return stack_tags([tag], ["s"], ["neutral"])
+
+
 class TestLogSumExp:
-    """The private log-sum-exp against scipy.special.logsumexp, byte for byte
-    along the last axis."""
+    """The plane log-sum-exp against scipy.special.logsumexp along the last
+    axis, byte for byte, with that axis as the planes."""
 
     def check(self, rows):
-        before = rows.tobytes()
+        planes = np.moveaxis(rows, -1, 0).copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _logsumexp(rows)
+            got = _logsumexp_planes(planes)
         assert got.tobytes() == logsumexp(rows, axis=-1).tobytes()
-        assert rows.tobytes() == before
+        assert got.shape == planes[0].shape and np.shares_memory(got, planes[0])
 
     def test_random_rows(self, rng):
         self.check(rng.standard_normal((200, 8)) * 30)
@@ -141,9 +143,8 @@ class TestScoreKernel:
     def test_far_frames_reach_the_subnormal_band(self, rng):
         store = grid_store(rng, 6, 8, 13)
         x = far_frames(rng, 1001, 13, 60.0)
-        logb = np.stack([log_component_densities(tag_at(store, j), x)
-                         + np.log(store.weights[j]) for j in range(1, len(store))])
-        shifted = logb - logb.max(axis=-1, keepdims=True)
+        logb = np.stack([gmm._tag_planes(tag_at(store, j), x) for j in range(1, len(store))])
+        shifted = logb - logb.max(axis=1, keepdims=True)
         assert np.any((shifted < -708.4) & (shifted > -745.2))
         assert frame_scores(store, x).tobytes() == reference_score(store, x).tobytes()
 
@@ -157,7 +158,8 @@ class TestScoreKernel:
         else:
             x = np.tile(rng.standard_normal((3, 4)), (40, 1))
         new = em_fit(x, m, seed=4)
-        monkeypatch.setattr(gmm, "_logsumexp", reference_logsumexp)
+        monkeypatch.setattr(gmm, "_logsumexp_planes",
+                            lambda planes: reference_logsumexp(planes, axis=0))
         old = em_fit(x, m, seed=4)
         for name in ("weights", "means", "variances"):
             assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
@@ -167,24 +169,37 @@ class TestScoreKernel:
 
     @pytest.mark.parametrize("m", [8, 9])
     def test_rows_against_the_one_tag_density(self, rng, m):
-        """Row k against log_mixture_density of tag k alone (K=60, T=257):
-        the same bytes at 8 mixtures; at 9, the 540-column product tiles
-        differently from the 9-column one and a few entries differ in the
-        last bits."""
+        """Row k against a store of tag k alone (K=60, T=257): the same bytes
+        at 8 mixtures; at 9, the 540-column product tiles differently from
+        the 9-column one and a few entries differ in the last bits."""
         store = grid_store(rng, 60, m, 13, ties=False)
         x = rng.standard_normal((257, 13)) * 2.0
         got = frame_scores(store, x)
-        want = np.stack([log_mixture_density(tag_at(store, k), x) for k in range(len(store))])
+        want = np.stack([frame_scores(one_tag_store(tag_at(store, k)), x)[0]
+                         for k in range(len(store))])
         if m == 8:
             assert got.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("m", [1, 8, 9])
+    def test_em_and_score_utterance_share_the_kernel(self, rng, m):
+        """EM's per-frame log-likelihood and score_utterance of a trained tag
+        are the row of a store of that tag alone, and its mean, byte for
+        byte."""
+        x = rng.standard_normal((400, 13)) + rng.integers(0, 3, (400, 1)) * 2.0
+        tag = em_fit(x[:300], m, seed=3)
+        row = frame_scores(one_tag_store(tag), x[300:])[0]
+        assert _e_step(tag, x[300:])[0].tobytes() == row.tobytes()
+        assert score_utterance(tag, x[300:]) == row.mean()
+
 
 class TestComponentDensity:
+    """One component of weight 1, through one-frame score_utterance calls."""
+
     def test_standard_normal_at_zero(self):
         tag = make_tag([1.0], [[0.0]], [[1.0]])
-        assert abs(log_component_densities(tag, np.array([0.0]))[0, 0]
+        assert abs(score_utterance(tag, np.array([0.0]))
                    - (-0.5 * np.log(2 * np.pi))) < 1e-12
 
     def test_at_mean_quadratic_vanishes(self, rng):
@@ -193,28 +208,32 @@ class TestComponentDensity:
         mu = rng.standard_normal((1, d))
         tag = make_tag([1.0], mu, var)
         expected = -0.5 * (d * np.log(2 * np.pi) + np.sum(np.log(var)))
-        assert abs(log_component_densities(tag, mu[0])[0, 0] - expected) < 1e-12
+        assert abs(score_utterance(tag, mu[0]) - expected) < 1e-12
 
     def test_integrates_to_one_quadrature(self):
         # 1-D standard normal: quadrature of exp(log b) over [-8, 8]
         tag = make_tag([1.0], [[0.0]], [[1.0]])
         grid = np.linspace(-8, 8, 20001)
-        vals = np.exp([log_component_densities(tag, np.array([g]))[0, 0] for g in grid])
+        vals = np.exp([score_utterance(tag, np.array([g])) for g in grid])
         integral = np.trapezoid(vals, grid)
         assert abs(integral - 1.0) < 1e-4
 
     def test_dimension_mismatch(self):
         tag = make_tag([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(DimensionError):
-            log_component_densities(tag, np.zeros(3))
+            score_utterance(tag, np.zeros(3))
 
 
 class TestMixtureDensity:
+    """log sum_i w_i b_i(x), through one-frame score_utterance calls."""
+
     def test_single_component_reduction(self, rng):
-        tag = make_tag([1.0], rng.standard_normal((1, 3)), rng.uniform(0.5, 2, (1, 3)))
+        mu, var = rng.standard_normal(3), rng.uniform(0.5, 2, 3)
+        tag = make_tag([1.0], [mu], [var])
         x = rng.standard_normal(3)
-        assert abs(log_mixture_density(tag, x)
-                   - log_component_densities(tag, x)[0, 0]) < 1e-12
+        log_normal = -0.5 * (3 * np.log(2 * np.pi) + np.sum(np.log(var))
+                             + np.sum((x - mu) ** 2 / var))
+        assert abs(score_utterance(tag, x) - log_normal) < 1e-12
 
     def test_mixture_of_clones(self, rng):
         mu = rng.standard_normal(2)
@@ -222,15 +241,14 @@ class TestMixtureDensity:
         clone = make_tag([0.5, 0.5], [mu, mu], [var, var])
         single = make_tag([1.0], [mu], [var])
         x = rng.standard_normal(2)
-        assert abs(log_mixture_density(clone, x)
-                   - log_mixture_density(single, x)) < 1e-12
+        assert abs(score_utterance(clone, x) - score_utterance(single, x)) < 1e-12
 
     def test_matches_direct_summation(self, rng):
         for _ in range(20):
             tag = make_tag(np.full(3, 1 / 3), rng.standard_normal((3, 2)),
                            rng.uniform(0.3, 2.0, (3, 2)))
             x = rng.standard_normal(2)
-            fast = log_mixture_density(tag, x)
+            fast = score_utterance(tag, x)
             slow = direct_mixture_density(tag, x)
             assert abs(fast - slow) < 1e-10 * max(abs(slow), 1.0)
 
@@ -242,11 +260,11 @@ class TestMixtureDensity:
         perm = [2, 0, 1]
         tag_p = make_tag(w[perm], mu[perm], var[perm])
         x = rng.standard_normal(4)
-        assert abs(log_mixture_density(tag, x) - log_mixture_density(tag_p, x)) < 1e-12
+        assert abs(score_utterance(tag, x) - score_utterance(tag_p, x)) < 1e-12
 
     def test_no_underflow_far_from_means(self):
         tag = make_tag([0.5, 0.5], [[0.0], [1.0]], [[1.0], [1.0]])
-        val = log_mixture_density(tag, np.array([1e4]))
+        val = score_utterance(tag, np.array([1e4]))
         assert np.isfinite(val) and val < -1e7
 
 
@@ -274,7 +292,7 @@ class TestResponsibilities:
         frame_ll, r = _e_step(tag, x)
         np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(r >= 0)
-        np.testing.assert_array_equal(frame_ll, log_mixture_density(tag, x))
+        np.testing.assert_array_equal(frame_ll, frame_scores(one_tag_store(tag), x)[0])
 
 
 class TestEmFit:
@@ -337,7 +355,7 @@ class TestScoreUtterance:
     def test_single_frame(self, rng):
         tag = make_tag([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
         x = rng.standard_normal((1, 2))
-        assert abs(score_utterance(tag, x) - log_mixture_density(tag, x[0])) < 1e-12
+        assert abs(score_utterance(tag, x) - direct_mixture_density(tag, x[0])) < 1e-12
 
     def test_duplication_invariant(self, rng):
         tag = make_tag(np.full(2, 0.5), rng.standard_normal((2, 3)),
