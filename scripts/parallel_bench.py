@@ -220,6 +220,8 @@ def identity(args) -> dict:
                 "corpora": synth,
                 "equal": all(digests[n][k] == digests["parent"][k]
                              for n, *_ in sides for k in files),
+                "differ": {n: [k for k in files if digests[n][k] != digests["parent"][k]]
+                           for n, *_ in sides[1:]},
                 "files": files,
                 "identify_requests": [wav.name for wav in requests],
                 "sha256": {k: digests["parent"][k] for k in files},

@@ -37,9 +37,6 @@ def _sizes(text: str) -> tuple:
 _FLAGS = {
     "hidden_sizes": {"flag": "--hidden", "type": _sizes,
                      "help": "comma-separated hidden layer sizes, e.g. 128,128,128,128"},
-    "standardize_inputs": {"flag": "--no-standardize", "action": "store_const",
-                           "const": False, "help": "feed raw likelihood vectors to the DNN"},
-    "snr_mode": {"choices": audio_mod.MIX_MODES},
 }
 # the flags each subcommand reads; identify and evaluate take the front end
 # from the tag store
@@ -48,8 +45,8 @@ _FRONT_END_FLAGS = ("target_rate_hz", "pre_emphasis", "frame_ms", "hop_ms",
 _TRAIN_GMM_FLAGS = _FRONT_END_FLAGS + ("mixtures", "variance_floor", "seed")
 _SEGMENT_FLAGS = ("segment_frames", "segment_overlap")
 _TRAIN_FLAGS = _TRAIN_GMM_FLAGS + _SEGMENT_FLAGS + (
-    "learning_rate", "epochs", "batch_size", "lr_decay", "hidden_sizes", "standardize_inputs")
-_EVALUATE_FLAGS = _SEGMENT_FLAGS + ("seed", "snr_ratio", "snr_mode")
+    "learning_rate", "epochs", "batch_size", "lr_decay", "hidden_sizes")
+_EVALUATE_FLAGS = _SEGMENT_FLAGS + ("seed", "snr_ratio")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:

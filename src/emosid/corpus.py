@@ -39,6 +39,10 @@ EMOTION_PARAMS = {
     "fear": (1.30, 1.00, 0.060, 1.07),
 }
 
+# per-utterance session nuisances: channel tilt bound, noise SNR range (dB)
+CHANNEL_TILT = 0.25
+SESSION_SNR_DB = (18.0, 30.0)
+
 _REQUIRED_COLUMNS = ("path", "speaker_id", "emotion", "sentence_id", "repetition", "split")
 
 
@@ -183,10 +187,6 @@ class SynthSpec:
     # 1.0 = well-separated speakers; smaller values pull every speaker's
     # resonances and pitch toward the population mean.
     separation: float = 1.0
-    # per-utterance session nuisances: channel tilt coefficient bound and
-    # recording noise SNR range (dB)
-    channel_tilt: float = 0.25
-    session_snr_db: tuple = (18.0, 30.0)
 
 
 @dataclass(frozen=True)
@@ -297,12 +297,12 @@ def _renderer(spec: SynthSpec):
 
         # session nuisances: spectral tilt, level jitter and a noise floor, so
         # no two utterances share an identical channel
-        tilt = rng.uniform(-spec.channel_tilt, spec.channel_tilt)
+        tilt = rng.uniform(-CHANNEL_TILT, CHANNEL_TILT)
         samples = lfilter([1.0, -tilt], [1.0], samples)
         peak = np.max(np.abs(samples))
         if peak > 0:
             samples = samples / peak * 0.5 * energy_scale * rng.uniform(0.8, 1.2)
-        snr_db = rng.uniform(*spec.session_snr_db)
+        snr_db = rng.uniform(*SESSION_SNR_DB)
         noise_rms = np.sqrt(np.mean(samples ** 2)) / (10.0 ** (snr_db / 20.0))
         samples = samples + noise_rms * rng.standard_normal(len(samples))
         samples = np.clip(samples, -1.0, 1.0)

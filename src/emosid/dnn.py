@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, NetworkInputError
 
 
 def relu(x):
@@ -88,7 +88,7 @@ def forward(model: DnnModel, x: np.ndarray):
     if x.shape[1] != model.input_size:
         raise DimensionError(f"input size {x.shape[1]} != model input {model.input_size}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite network input")
+        raise NetworkInputError("non-finite network input")
 
     a = _standardize(model, x)
     activations = [a]
@@ -160,16 +160,16 @@ def train(inputs, labels, hidden_sizes, output_size: int, *, learning_rate: floa
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if inputs.ndim != 2 or len(inputs) == 0:
-        raise ValueError("training set must be a non-empty (N, D) array")
+        raise NetworkInputError("training set must be a non-empty (N, D) array")
     if len(inputs) != len(labels):
-        raise ValueError("inputs and labels disagree on N")
+        raise NetworkInputError("inputs and labels disagree on N")
     if labels.min() < 0 or labels.max() >= output_size:
-        raise ValueError("labels out of range")
+        raise NetworkInputError("labels out of range")
 
     model = init_model(inputs.shape[1], hidden_sizes, output_size,
                        seed=seed, input_standardization=input_standardization)
     if not np.all(np.isfinite(inputs)):
-        raise ValueError("non-finite network input")
+        raise NetworkInputError("non-finite network input")
     x_all = _standardize(model, inputs)
 
     # every weight and bias is a view of params, every gradient one of grad

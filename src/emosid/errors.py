@@ -41,6 +41,10 @@ class EmptyUtteranceError(EmosidError):
     """An utterance with no frames was scored."""
 
 
+class NetworkInputError(EmosidError, ValueError):
+    """Malformed or non-finite network input, or training labels out of range."""
+
+
 class ContainerError(EmosidError):
     """Corrupt or truncated serialized model/feature container."""
 

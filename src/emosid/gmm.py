@@ -14,7 +14,8 @@ bit for bit where both matrix products tile alike (8 or 16 mixtures, not 9).
 Scores are shared per (store, ``FeatureMatrix``) pair: a store keeps the
 matrix of the last ``FeatureMatrix`` it scored, so the cascade and GMM-alone
 decisions on one utterance score it once. Raw arrays are scored afresh on
-every call.
+every call. Frames are a ``FeatureMatrix`` or a (T, D) array (one vector is
+one frame); another shape, no frames or a non-finite value is a typed error.
 """
 
 from __future__ import annotations
@@ -107,7 +108,20 @@ def _component_terms(weights: np.ndarray, means: np.ndarray, variances: np.ndarr
     return inv, means * inv, np.sum(means ** 2 * inv, axis=-1), const, np.log(weights)
 
 
-def _log_planes(data, terms, k: int) -> np.ndarray:
+def _frames(features) -> np.ndarray:
+    """The (T, D) float64 frame matrix of a ``FeatureMatrix`` or an array."""
+    x = np.asarray(features.data if isinstance(features, FeatureMatrix) else features, np.float64)
+    x = x[None] if x.ndim == 1 else x
+    if x.ndim != 2:
+        raise DimensionError(f"frames of shape {x.shape}: not a (T, D) matrix")
+    if x.shape[0] == 0:
+        raise EmptyUtteranceError("cannot score an utterance with no frames")
+    if not np.isfinite(x).all():
+        raise ValidationError("non-finite feature values")
+    return x
+
+
+def _log_planes(x: np.ndarray, terms, k: int) -> np.ndarray:
     """log w + log N(x | component) of every frame under every component of
     k tags, as component-major (M, T, k) planes: planes[j, t, i] is component
     j of tag i. terms are those of ``_component_terms`` in rows j*k + i: a
@@ -119,9 +133,6 @@ def _log_planes(data, terms, k: int) -> np.ndarray:
     transposed product or one product per component change the BLAS kernel
     shapes and last bits."""
     inv, mean_inv, mean2_inv, const, log_w = terms
-    x = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise EmptyUtteranceError("cannot score an utterance with no frames")
     if x.shape[1] != inv.shape[1]:
         raise DimensionError(f"feature dim {x.shape[1]} != model dim {inv.shape[1]}")
     logp = (x ** 2) @ inv.T  # (T, M*k)
@@ -137,9 +148,9 @@ def _log_planes(data, terms, k: int) -> np.ndarray:
     return planes
 
 
-def _tag_planes(tag: GmmTag, data) -> np.ndarray:
+def _tag_planes(tag: GmmTag, x: np.ndarray) -> np.ndarray:
     """``_log_planes`` of one tag, as (M, T)."""
-    return _log_planes(data, _component_terms(tag.weights, tag.means, tag.variances), 1)[..., 0]
+    return _log_planes(x, _component_terms(tag.weights, tag.means, tag.variances), 1)[..., 0]
 
 
 def _e_step(tag: GmmTag, data: np.ndarray):
@@ -174,10 +185,8 @@ def em_fit(data, num_components: int, *, max_iters: int = DEFAULT_MAX_ITERS,
     iterations where the floor binds are recorded in train_meta, as are
     re-seeded starved components.
     """
-    if isinstance(data, FeatureMatrix):
-        data = data.data
-    data = np.asarray(data, dtype=np.float64)
-    t, dim = data.shape
+    data = _frames(data)
+    t = len(data)
     if t < num_components:
         raise InsufficientDataError(
             f"{t} frames < {num_components} components")
@@ -236,10 +245,7 @@ def em_fit(data, num_components: int, *, max_iters: int = DEFAULT_MAX_ITERS,
 
 def score_utterance(tag: GmmTag, features) -> float:
     """Average per-frame log-likelihood of an utterance under one tag."""
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
-    if data.shape[0] == 0:
-        raise EmptyUtteranceError("cannot score an utterance with no frames")
-    return float(np.mean(_logsumexp_planes(_tag_planes(tag, data))))
+    return float(np.mean(_logsumexp_planes(_tag_planes(tag, _frames(features)))))
 
 
 @dataclass
@@ -308,23 +314,23 @@ def frame_scores(store: TagStore, features) -> np.ndarray:
     another ``FeatureMatrix`` is scored: a second call on the same object
     returns it."""
     if not isinstance(features, FeatureMatrix):
-        return _score(store, features)
+        return _score(store, _frames(features))
     # one read and one write of the entry: concurrent callers may each score
     # the utterance, but never get another utterance's matrix
     memo = store._memo
     if memo is not None and memo[0]() is features:
         return memo[1]
-    scores = _score(store, features.data)
+    scores = _score(store, _frames(features))
     scores.flags.writeable = False
     store._memo = (weakref.ref(features), scores)
     return scores
 
 
-def _score(store: TagStore, data) -> np.ndarray:
-    """``frame_scores`` without the memo: the store's planes and one
-    log-sum-exp over them."""
+def _score(store: TagStore, x: np.ndarray) -> np.ndarray:
+    """``frame_scores`` of a ``_frames`` matrix without the memo: the store's
+    planes and one log-sum-exp over them."""
     terms = (store._inv, store._mean_inv, store._mean2_inv, store._const, store._log_w)
-    return np.ascontiguousarray(_logsumexp_planes(_log_planes(data, terms, len(store))).T)
+    return np.ascontiguousarray(_logsumexp_planes(_log_planes(x, terms, len(store))).T)
 
 
 def gmm_identify(store: TagStore, features):

@@ -32,9 +32,10 @@ FRONT_END = ("target_rate_hz", "pre_emphasis", "frame_ms", "hop_ms", "num_filter
 
 @dataclass
 class PipelineConfig:
-    """Effective settings for the whole pipeline, and the only source of their
-    defaults and value checks: library functions take explicit values. Echoed
-    into every report."""
+    """The settings a caller may change, their defaults and value checks;
+    library functions take explicit values. EM stops by ``em_fit``'s defaults,
+    DNN inputs are always standardized and interference is mixed at a power
+    ratio. Echoed into every report."""
 
     target_rate_hz: int = 12000
     pre_emphasis: float = 0.97
@@ -49,12 +50,9 @@ class PipelineConfig:
 
     mixtures: int = 8
     variance_floor: float = 1e-4
-    gmm_tol: float = 1e-4
-    gmm_max_iters: int = 200
 
     segment_frames: int = 100
     segment_overlap: float = 0.5
-    standardize_inputs: bool = True
     aggregation: str = "mean"
 
     hidden_sizes: tuple = (128, 128, 128, 128)
@@ -65,7 +63,6 @@ class PipelineConfig:
 
     seed: int = 0
     snr_ratio: float = 2.0
-    snr_mode: str = "power"
 
     def __post_init__(self):
         # a bad value or type fails here, not after reading audio or training
@@ -91,8 +88,6 @@ class PipelineConfig:
                 (self.log_floor > 0, f"log floor {self.log_floor} not positive"),
                 (self.mixtures >= 1, f"mixtures {self.mixtures} below 1"),
                 (self.variance_floor > 0, f"variance floor {self.variance_floor} not positive"),
-                (self.gmm_max_iters >= 1, f"gmm_max_iters {self.gmm_max_iters} below 1"),
-                (self.gmm_tol >= 0, f"gmm_tol {self.gmm_tol} negative"),
                 (all(h >= 1 for h in self.hidden_sizes),
                  f"hidden sizes {list(self.hidden_sizes)}: each must be at least 1"),
                 (self.learning_rate > 0, f"learning rate {self.learning_rate} not positive"),
@@ -102,9 +97,7 @@ class PipelineConfig:
                 (self.seed >= 0, f"seed {self.seed} negative"),
                 (self.aggregation in cascade_mod.AGGREGATIONS,
                  f"aggregation {self.aggregation!r} not one of {cascade_mod.AGGREGATIONS}"),
-                (self.snr_ratio > 0, f"SNR ratio {self.snr_ratio} not positive"),
-                (self.snr_mode in audio_mod.MIX_MODES,
-                 f"SNR mode {self.snr_mode!r} not one of {audio_mod.MIX_MODES}")]:
+                (self.snr_ratio > 0, f"SNR ratio {self.snr_ratio} not positive")]:
             if not ok:
                 raise ConfigError(problem)
         build_bank(self)
@@ -172,7 +165,7 @@ def _distort(clip: audio_mod.AudioClip, cfg: PipelineConfig, entry) -> audio_mod
     key = json.dumps([entry.speaker_id, entry.emotion, entry.sentence_id, entry.repetition])
     seed = (cfg.seed, 4, zlib.crc32(key.encode("utf-8")))
     noise = interference_clip(len(clip.samples), clip.sample_rate_hz, seed)
-    return audio_mod.mix_interference(clip, noise, cfg.snr_ratio, cfg.snr_mode).clip
+    return audio_mod.mix_interference(clip, noise, cfg.snr_ratio).clip
 
 
 def load_entry_features(entry, cfg: PipelineConfig, bank=None,
@@ -191,13 +184,6 @@ class TrainedModels:
     cascade_dnn: dnn_mod.DnnModel | None = None
     dnn_only: dnn_mod.DnnModel | None = None
     report: dict = field(default_factory=dict)
-
-
-def _standardization(vectors: np.ndarray):
-    mean = vectors.mean(axis=0)
-    std = vectors.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return mean, std
 
 
 def _fit_tags(manifest: Manifest, cfg: PipelineConfig):
@@ -224,7 +210,6 @@ def _fit_tags(manifest: Manifest, cfg: PipelineConfig):
         seed = int(np.random.SeedSequence((cfg.seed, 5, si, ei)).generate_state(1)[0])
         tag = gmm_mod.em_fit(
             np.concatenate([fm.data for fm in fms], axis=0), cfg.mixtures,
-            max_iters=cfg.gmm_max_iters, tol=cfg.gmm_tol,
             variance_floor=cfg.variance_floor, seed=seed)
         return fms, tag
 
@@ -260,11 +245,12 @@ def train_models(manifest: Manifest, cfg: PipelineConfig) -> TrainedModels:
 
     def fit(k):
         rows = np.concatenate([inputs[k](store, fm, s) for (_, fm), s in zip(train, spans)])
-        std = _standardization(rows) if cfg.standardize_inputs else None
+        std = rows.std(axis=0)
         return dnn_mod.train(
             rows, labels, cfg.hidden_sizes, len(manifest.speaker_roster),
             learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
-            lr_decay=cfg.lr_decay, seed=cfg.seed, input_standardization=std)
+            lr_decay=cfg.lr_decay, seed=cfg.seed,
+            input_standardization=(rows.mean(axis=0), np.where(std < 1e-12, 1.0, std)))
 
     cascade_net, dnn_only = parallel_map(fit, len(inputs), len(train))
 

@@ -243,12 +243,12 @@ def reference_synthesize_utterance(spec, speaker_idx, emotion, sentence_id, repe
     env[-edge:] = np.linspace(1.0, 0.0, edge)
     samples = samples * env
 
-    tilt = rng.uniform(-spec.channel_tilt, spec.channel_tilt)
+    tilt = rng.uniform(-0.25, 0.25)
     samples = lfilter([1.0, -tilt], [1.0], samples)
     peak = np.max(np.abs(samples))
     if peak > 0:
         samples = samples / peak * 0.5 * energy_scale * rng.uniform(0.8, 1.2)
-    snr_db = rng.uniform(*spec.session_snr_db)
+    snr_db = rng.uniform(18.0, 30.0)
     sig_rms = np.sqrt(np.mean(samples ** 2))
     noise_rms = sig_rms / (10.0 ** (snr_db / 20.0))
     samples = samples + noise_rms * rng.standard_normal(len(samples))

@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour on a small synthetic corpus."""
 
+import argparse
 import csv
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from emosid import audio, cascade, containers, dnn, pipeline, workers
-from emosid.cli import main
+from emosid.cli import build_parser, main
 
 from conftest import run_python, v1_tag_store, v2_tag_store
 
@@ -316,6 +318,31 @@ class TestConfigPrecedence:
         assert code == 1 and "unknown config keys" in err
 
 
+def test_readme_config_flag_table_matches_parser():
+    """The README's config flag table lists exactly the config flags of each
+    subcommand's parser; "front end" and "what `train-gmm` takes" stand for
+    the rows above. The flags of the settings that are now fixed are gone."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand | config flags |", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        name, cell = (c.strip() for c in line.strip("|").split("|"))
+        flags = set(re.findall(r"--[a-z-]+", cell))
+        if cell.startswith("front end,"):
+            flags |= rows["extract"]
+        if cell.startswith("what `train-gmm` takes"):
+            flags |= rows["train-gmm"]
+        rows[name.strip("`")] = flags
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, flags in rows.items():
+        parser = sub.choices[name]
+        config_flags = {f for a in parser._actions for f in a.option_strings
+                        if a.dest in pipeline.FIELD_TYPES}
+        assert flags == config_flags, name
+    assert set(rows) == {"extract", "train-gmm", "train", "identify", "evaluate"}
+    assert not {"--no-standardize", "--snr-mode"} & set().union(*rows.values())
+
+
 class TestTypedFailures:
     @pytest.mark.parametrize("flag, value", [("--segment-overlap", "1.5"),
                                              ("--epochs", "0"), ("--mixtures", "0"),
@@ -332,7 +359,7 @@ class TestTypedFailures:
         assert code == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize("args", [["--distort", "--snr-ratio", "0"],
-                                      ["--config", {"snr_mode": "db"}],
+                                      ["--config", {"snr_mode": "power"}],
                                       ["--config", {"aggregation": "median"}],
                                       ["--modes", "cascade",
                                        "--config", {"aggregation": "geometric"}]],
@@ -412,6 +439,22 @@ class TestTypedFailures:
         code, _, err = run(capsys, "train", "--manifest", manifest_path,
                            "--out", str(tmp_path / "x"), "--config", str(cfg_path))
         assert code == 1 and err.startswith("error:") and next(iter(values)) in err
+
+    @pytest.mark.parametrize("key, value", [("standardize_inputs", True), ("snr_mode", "power"),
+                                            ("gmm_tol", 1e-4), ("gmm_max_iters", 200)])
+    def test_removed_config_key_exit_1_before_reading_audio(
+            self, manifest_path, tmp_path, capsys, monkeypatch, key, value):
+        """The keys of settings that are now fixed are refused, even at their
+        former defaults, and named."""
+        def no_audio(*args, **kwargs):
+            raise AssertionError("read audio with a removed config key")
+
+        monkeypatch.setattr(audio, "load_wav", no_audio)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code, _, err = run(capsys, "train", "--manifest", manifest_path,
+                           "--out", str(tmp_path / "x"), "--config", str(cfg_path))
+        assert code == 1 and err.startswith("error:") and key in err
 
     def test_non_positive_std_dnn_identify_exit_2(self, corpus_dir, model_dir, tmp_path,
                                                   capsys):

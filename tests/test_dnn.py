@@ -13,7 +13,7 @@ from emosid.dnn import (
     softmax,
     train,
 )
-from emosid.errors import ConfigError, DimensionError, DivergenceError
+from emosid.errors import ConfigError, DimensionError, DivergenceError, EmosidError
 from emosid.pipeline import PipelineConfig
 
 from conftest import reference_train
@@ -88,8 +88,9 @@ class TestForward:
 
     def test_non_finite_input(self):
         model = init_model(2, (4,), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             forward(model, np.array([np.nan, 0.0]))
+        assert isinstance(raised.value, EmosidError)
 
 
 class TestGradients:

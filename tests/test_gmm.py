@@ -377,6 +377,25 @@ class TestScoreUtterance:
             score_utterance(tag, FeatureMatrix(data=np.zeros((0, 1))))
 
 
+@pytest.mark.parametrize("entry, frames, error", [
+    ("em_fit", [[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]], ValidationError),
+    ("score_utterance", 0.5, DimensionError),
+    ("frame_scores", [[0.0, -np.inf]], ValidationError),
+    ("gmm_identify", [[np.nan, 0.0], [0.0, 0.0]], ValidationError),
+], ids=["em_fit-inf", "score_utterance-0d", "frame_scores-inf", "gmm_identify-nan"])
+def test_raw_frames_refused_at_every_entry_point(entry, frames, error):
+    """A raw frame array that is not a (T, D) matrix of finite values is a
+    typed error, never NaN scores or a roster-order guess."""
+    tag = make_tag([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]])
+    store = stack_tags([tag, tag], ["a", "b"], ["n"])
+    call = {"em_fit": lambda x: em_fit(x, 2),
+            "score_utterance": lambda x: score_utterance(tag, x),
+            "frame_scores": lambda x: frame_scores(store, x),
+            "gmm_identify": lambda x: gmm_identify(store, x)}[entry]
+    with pytest.raises(error):
+        call(np.asarray(frames))
+
+
 def _toy_store(rng, speakers=("a", "b"), emotions=("neutral", "happy"), identical=False):
     tags = []
     base = make_tag([1.0], rng.standard_normal((1, 2)), [[1.0, 1.0]])

@@ -72,9 +72,8 @@ def test_entry_features_are_the_front_end(tmp_path):
                                           ("fft_size", 256), ("mixtures", 0),
                                           ("variance_floor", 0.0), ("variance_floor", -1.0),
                                           ("hidden_sizes", (0,)), ("snr_ratio", 0.0),
-                                          ("snr_mode", "db"), ("aggregation", "median"),
-                                          ("fft_size", 0), ("gmm_max_iters", 0),
-                                          ("gmm_tol", -1e-4), ("seed", -1), ("num_coeffs", 0),
+                                          ("aggregation", "median"), ("fft_size", 0),
+                                          ("seed", -1), ("num_coeffs", 0),
                                           ("num_coeffs", 27), ("log_floor", 0.0),
                                           ("aggregation", "geometric")])
 def test_config_validated_at_construction(field, value):
@@ -83,7 +82,7 @@ def test_config_validated_at_construction(field, value):
 
 
 FLOAT_FIELDS = ["pre_emphasis", "frame_ms", "hop_ms", "log_floor", "low_hz", "high_hz",
-                "variance_floor", "gmm_tol", "segment_overlap", "learning_rate", "lr_decay",
+                "variance_floor", "segment_overlap", "learning_rate", "lr_decay",
                 "snr_ratio"]
 
 
@@ -107,8 +106,7 @@ def test_clip_shorter_than_one_frame_is_a_validation_error():
 
 @pytest.mark.parametrize("field, value", [("mixtures", 8.0), ("epochs", "5"), ("seed", 1.5),
                                           ("hidden_sizes", (128.0,)), ("hidden_sizes", 128),
-                                          ("standardize_inputs", 1), ("learning_rate", True),
-                                          ("fft_size", 512.0), ("snr_mode", None)])
+                                          ("learning_rate", True), ("fft_size", 512.0)])
 def test_config_refuses_wrong_type(field, value):
     with pytest.raises(ConfigError, match=f"'{field}'"):
         PipelineConfig(**{field: value})
