@@ -83,7 +83,7 @@ cfg = pipeline.PipelineConfig(seed=seed)
 def cpu(who):
     r = resource.getrusage(who)
     return r.ru_utime + r.ru_stime
-c0, k0, t0 = cpu(resource.RUSAGE_SELF), children_cpu_s(), time.perf_counter()
+c0, k0, t0 = cpu(resource.RUSAGE_SELF), cpu(resource.RUSAGE_CHILDREN), time.perf_counter()
 models = pipeline.train_models(m, cfg)
 records = pipeline.evaluate_models(m, models, cfg)
 records += pipeline.evaluate_models(m, models, cfg, modes=("cascade",), distort=True)
@@ -92,7 +92,7 @@ wall = time.perf_counter() - t0
 print(json.dumps({
     "synth_s": synth_s, "work_s": wall, "audio_s_per_s": audio_s / wall,
     "cpu_self_s": cpu(resource.RUSAGE_SELF) - c0,
-    "cpu_children_s": children_cpu_s() - k0,
+    "cpu_children_s": cpu(resource.RUSAGE_CHILDREN) - k0,
     "self_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "children_maxrss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}))
 """

@@ -177,15 +177,20 @@ def pre_emphasize(clip: AudioClip, alpha: float) -> AudioClip:
         raise EmptyAudioError(f"{clip.source_id or 'clip'}: no samples to pre-emphasize")
     y = np.empty_like(x)
     y[0] = x[0]
-    y[1:] = x[1:] - alpha * x[:-1]
+    np.multiply(x[:-1], alpha, out=y[1:])
+    np.subtract(x[1:], y[1:], out=y[1:])
     return AudioClip(samples=y, sample_rate_hz=clip.sample_rate_hz, source_id=clip.source_id)
 
 
+@functools.lru_cache(maxsize=16)
 def hamming_window(length: int) -> np.ndarray:
+    """The Hamming window of a length, computed once and read-only."""
     if length == 1:
-        return np.ones(1)
-    n = np.arange(length)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
+        window = np.ones(1)
+    else:
+        window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(length) / (length - 1))
+    window.flags.writeable = False
+    return window
 
 
 def frame_and_window(clip: AudioClip, frame_ms: float, hop_ms: float) -> FrameSet:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
+from . import workers
 from .audio import FrameSet
 from .errors import ConfigError
 
@@ -42,16 +43,31 @@ def default_fft_size(frame_len: int) -> int:
 def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
     """One-sided power spectral estimate |S(k)|^2 / fft_size, k = 0..fft_size/2,
     along the last axis (one frame, or a frame per row)."""
+    frame = _spectrum_frames(frame, fft_size)
+    shape = frame.shape[:-1] + (fft_size // 2 + 1,)
+    return _power_into(frame, fft_size, np.empty(shape, complex), np.empty(shape))
+
+
+def _spectrum_frames(frame, fft_size: int) -> np.ndarray:
     _check_power_of_two(fft_size)
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > fft_size:
         raise ConfigError(f"fft_size {fft_size} smaller than frame length {frame.shape[-1]}")
-    spec = np.ascontiguousarray(np.fft.rfft(frame, n=fft_size))
+    return frame
+
+
+def _power_into(frame: np.ndarray, fft_size: int, spec: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """``power_spectrum`` of checked float64 frames, through the complex
+    C-contiguous buffer spec into out. Each frame's FFT and squares are its
+    own, so a row range of frames gets the bytes of the same rows of the
+    whole."""
+    np.fft.rfft(frame, n=fft_size, out=spec)
     squares = spec.view(np.float64)  # re, im interleaved
     np.multiply(squares, squares, out=squares)
-    power = np.add(squares[..., 0::2], squares[..., 1::2])
-    power /= fft_size
-    return power
+    np.add(squares[..., 0::2], squares[..., 1::2], out=out)
+    out /= fft_size
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +159,8 @@ class FeatureMatrix:
 
 def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int, log_floor: float,
          meta: dict | None = None) -> FeatureMatrix:
-    """Compute MFCCs for every frame in a FrameSet."""
+    """Compute MFCCs for every frame in a FrameSet, on every usable CPU; the
+    bytes do not depend on the CPU count."""
     if num_coeffs > bank.num_filters:
         raise ConfigError(
             f"num_coeffs {num_coeffs} exceeds filter count {bank.num_filters}")
@@ -154,7 +171,15 @@ def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int, log_floor: floa
     base_meta.setdefault("num_filters", bank.num_filters)
     base_meta.setdefault("dct", "ortho-II")
 
-    energies = power_spectrum(frames.frames, bank.fft_size) @ bank.triangles.T
+    # the spectrum per row range of frames; the filterbank product stays
+    # whole, as a product's last bits depend on its row count
+    x = _spectrum_frames(frames.frames, bank.fft_size)
+    spec = np.empty((len(x), bank.fft_size // 2 + 1), complex)
+    power = np.empty(spec.shape)
+    workers.split_rows(
+        lambda a, b: _power_into(x[a:b], bank.fft_size, spec[a:b], power[a:b]), len(x))
+    del spec  # freed before the product, as power_spectrum frees its spectrum
+    energies = power @ bank.triangles.T
     log_energies = np.log(np.maximum(energies, log_floor))
     coeffs = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, :num_coeffs]
     return FeatureMatrix(data=np.ascontiguousarray(coeffs), meta=base_meta)

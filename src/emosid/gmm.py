@@ -6,10 +6,16 @@ far-out frames never underflow to -inf.
 
 A ``TagStore`` holds all tags as stacked (K, M, D) arrays in roster order.
 ``frame_scores`` scores an utterance against every tag of a store at once,
-``score_utterance`` against one tag. They and EM's E-step share one kernel,
-``_log_planes``, and one log-sum-exp; a one-tag store scores exactly as its
-tag does, and a K-tag store agrees with each of its tags to 1e-14 relative,
-bit for bit where both matrix products tile alike (8 or 16 mixtures, not 9).
+``score_utterance`` against one tag. They and EM's E-step share one kernel:
+two matrix products over all frames (``_products``), then the elementwise
+tail ``_log_planes`` and one log-sum-exp. A one-tag store scores exactly as
+its tag does, and a K-tag store agrees with each of its tags to 1e-14
+relative, bit for bit where both matrix products tile alike (8 or 16
+mixtures, not 9).
+
+``frame_scores`` uses every CPU the process may use: the products stay
+whole, and the tail and log-sum-exp run per row range of frames on helper
+threads (``workers.split_rows``). Its bytes do not depend on the CPU count.
 
 Scores are shared per (store, ``FeatureMatrix``) pair: a store keeps the
 matrix of the last ``FeatureMatrix`` it scored, so the cascade and GMM-alone
@@ -25,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .errors import DimensionError, EmptyUtteranceError, InsufficientDataError, \
     ValidationError
 from .features import FeatureMatrix
@@ -50,16 +57,23 @@ class GmmTag:
         return self.means.shape[1]
 
 
-def _logsumexp_planes(planes: np.ndarray) -> np.ndarray:
+def _logsumexp_planes(planes: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(planes))) over the leading axis of a C-contiguous (M, ...)
-    buffer, which it overwrites; the result is planes[0].
+    buffer, which it overwrites; the result is planes[0]. A C-contiguous
+    float64 work buffer of at least two planes, if given, holds the maximum
+    and the tie count in place of two new arrays.
 
     The float operations are those of scipy.special.logsumexp (scipy 1.17)
     along a contiguous axis, in its order: the maximum is taken out, the
     entries equal to it are left out of the shifted sum and their count is
     added back as log(count). Each step is one pass over whole planes."""
-    amax = np.maximum.reduce(planes, axis=0)
-    count = np.zeros_like(amax)
+    if work is not None and work.size >= 2 * planes[0].size:
+        amax, count = work.reshape(-1)[:2 * planes[0].size].reshape((2,) + planes.shape[1:])
+        np.maximum.reduce(planes, axis=0, out=amax)
+        count.fill(0.0)
+    else:
+        amax = np.maximum.reduce(planes, axis=0)
+        count = np.zeros_like(amax)
     tie = np.empty(amax.shape, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for p in planes:
@@ -121,36 +135,44 @@ def _frames(features) -> np.ndarray:
     return x
 
 
-def _log_planes(x: np.ndarray, terms, k: int) -> np.ndarray:
-    """log w + log N(x | component) of every frame under every component of
-    k tags, as component-major (M, T, k) planes: planes[j, t, i] is component
-    j of tag i. terms are those of ``_component_terms`` in rows j*k + i: a
-    store's derived fields, or one tag's own arrays with k = 1.
+def _products(x: np.ndarray, terms) -> tuple:
+    """The two matrix products of ``_log_planes``, each over all frames and
+    all M*k columns: (x^2) @ (1/var).T and x @ (mean/var).T, (T, M*k) each.
+    terms are those of ``_component_terms`` in rows j*k + i (component j of
+    tag i): a store's derived fields, or one tag's own arrays with k = 1.
 
-    One pair of matrix products over all M*k columns, the affine passes in
-    place, the last written transposed into the planes. Elementwise passes
-    keep their bytes in any layout; the products do not: blocks of frames, a
+    A product keeps its bytes only at its shape: blocks of frames, a
     transposed product or one product per component change the BLAS kernel
-    shapes and last bits."""
-    inv, mean_inv, mean2_inv, const, log_w = terms
+    shapes and last bits. So the products are never split."""
+    inv, mean_inv = terms[:2]
     if x.shape[1] != inv.shape[1]:
         raise DimensionError(f"feature dim {x.shape[1]} != model dim {inv.shape[1]}")
-    logp = (x ** 2) @ inv.T  # (T, M*k)
-    cross = x @ mean_inv.T
+    return (x ** 2) @ inv.T, x @ mean_inv.T
+
+
+def _log_planes(logp: np.ndarray, cross: np.ndarray, terms, k: int) -> np.ndarray:
+    """log w + log N(x | component) of frames under every component of k
+    tags, as component-major (M, rows, k) planes: planes[j, t, i] is component
+    j of tag i. logp and cross are C-contiguous row ranges of ``_products``;
+    the affine passes run in place on them, the last written transposed into
+    the planes, which are cross's buffer. Every pass is elementwise, so a row
+    range gets the bytes of the same rows of the whole products."""
+    _, _, mean2_inv, const, log_w = terms
     cross *= 2.0
     logp -= cross
     logp += mean2_inv
     logp *= 0.5
     np.subtract(const, logp, out=logp)
-    t = len(x)
-    planes = cross.reshape(-1, t, k)  # cross's buffer; component j is planes[j]
+    t = len(logp)
+    planes = cross.reshape(-1, t, k)  # component j is planes[j]
     np.add(logp.reshape(t, -1, k).swapaxes(0, 1), log_w.reshape(-1, 1, k), out=planes)
     return planes
 
 
 def _tag_planes(tag: GmmTag, x: np.ndarray) -> np.ndarray:
-    """``_log_planes`` of one tag, as (M, T)."""
-    return _log_planes(x, _component_terms(tag.weights, tag.means, tag.variances), 1)[..., 0]
+    """``_log_planes`` of one tag over all frames, as (M, T)."""
+    terms = _component_terms(tag.weights, tag.means, tag.variances)
+    return _log_planes(*_products(x, terms), terms, 1)[..., 0]
 
 
 def _e_step(tag: GmmTag, data: np.ndarray):
@@ -312,7 +334,8 @@ def frame_scores(store: TagStore, features) -> np.ndarray:
     (T, M*K) and (T, M) products tile alike, as at 8 and 16 mixtures. For a
     ``FeatureMatrix`` the matrix is read-only and kept on the store until
     another ``FeatureMatrix`` is scored: a second call on the same object
-    returns it."""
+    returns it. Scoring uses every usable CPU, and its bytes do not depend
+    on the CPU count."""
     if not isinstance(features, FeatureMatrix):
         return _score(store, _frames(features))
     # one read and one write of the entry: concurrent callers may each score
@@ -327,10 +350,22 @@ def frame_scores(store: TagStore, features) -> np.ndarray:
 
 
 def _score(store: TagStore, x: np.ndarray) -> np.ndarray:
-    """``frame_scores`` of a ``_frames`` matrix without the memo: the store's
-    planes and one log-sum-exp over them."""
+    """``frame_scores`` of a ``_frames`` matrix without the memo: the two
+    whole products, then per row range of frames (``workers.split_rows``) the
+    store's planes and one log-sum-exp over them, written into the result."""
     terms = (store._inv, store._mean_inv, store._mean2_inv, store._const, store._log_w)
-    return np.ascontiguousarray(_logsumexp_planes(_log_planes(x, terms, len(store))).T)
+    logp, cross = _products(x, terms)
+    k = len(store)
+    scores = np.empty((k, len(x)))
+
+    def rows(a: int, b: int) -> None:
+        # logp's rows are spent once the planes are built, and the log-sum-exp
+        # works in them: new plane-sized arrays would each cost fresh pages
+        planes = _log_planes(logp[a:b], cross[a:b], terms, k)
+        scores[:, a:b] = _logsumexp_planes(planes, logp[a:b]).T
+
+    workers.split_rows(rows, len(x))
+    return scores
 
 
 def gmm_identify(store: TagStore, features):

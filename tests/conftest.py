@@ -45,6 +45,23 @@ def stack_tags(tags, speakers, emotions):
                     front_end=PipelineConfig().front_end())
 
 
+def grid_store(rng, k, m, d, ties=True):
+    """k random tags of m components in d dims, in a roster of k speakers and
+    one emotion. With ties, component 1 of every tag repeats component 0 (the
+    log-sum-exp ties) and the last component of tag 0 has zero weight."""
+    weights = rng.uniform(0.1, 1.0, (k, m))
+    means = rng.standard_normal((k, m, d)) * 2.0
+    variances = rng.uniform(0.3, 2.0, (k, m, d))
+    if ties and m > 1:
+        weights[:, 1], means[:, 1], variances[:, 1] = weights[:, 0], means[:, 0], variances[:, 0]
+        weights[0, -1] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):  # the log of a zero weight is -inf
+        return TagStore(speaker_roster=[f"s{i}" for i in range(k)], emotion_roster=["neutral"],
+                        weights=weights, means=means, variances=variances,
+                        train_meta=[{}] * k, front_end={})
+
+
 def tag_at(store, k):
     """Row k of a store as a GmmTag, for the per-tag reference functions."""
     return GmmTag(weights=store.weights[k], means=store.means[k],

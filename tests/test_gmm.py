@@ -23,7 +23,8 @@ from emosid.gmm import (
     score_utterance,
 )
 
-from conftest import reference_logsumexp, reference_score, stack_tags, tag_at
+from conftest import grid_store, reference_logsumexp, reference_score, stack_tags, \
+    tag_at
 
 
 def make_tag(weights, means, variances):
@@ -51,10 +52,13 @@ class TestLogSumExp:
 
     def check(self, rows):
         planes = np.moveaxis(rows, -1, 0).copy()
+        spare = planes.copy()
+        work = np.full((2,) + planes.shape[1:], np.nan)  # takes the maximum and tie count
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _logsumexp_planes(planes)
-        assert got.tobytes() == logsumexp(rows, axis=-1).tobytes()
+            in_work = _logsumexp_planes(spare, work)
+        assert got.tobytes() == logsumexp(rows, axis=-1).tobytes() == in_work.tobytes()
         assert got.shape == planes[0].shape and np.shares_memory(got, planes[0])
 
     def test_random_rows(self, rng):
@@ -96,23 +100,6 @@ class TestLogSumExp:
         rows[:, 0] = 0.0
         self.check(rows)
         self.check(rows[:, :3] + 1e3)
-
-
-def grid_store(rng, k, m, d, ties=True):
-    """k random tags of m components in d dims, in a roster of k speakers and
-    one emotion. With ties, component 1 of every tag repeats component 0 (the
-    log-sum-exp ties) and the last component of tag 0 has zero weight."""
-    weights = rng.uniform(0.1, 1.0, (k, m))
-    means = rng.standard_normal((k, m, d)) * 2.0
-    variances = rng.uniform(0.3, 2.0, (k, m, d))
-    if ties and m > 1:
-        weights[:, 1], means[:, 1], variances[:, 1] = weights[:, 0], means[:, 0], variances[:, 0]
-        weights[0, -1] = 0.0
-    weights /= weights.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):  # the log of a zero weight is -inf
-        return TagStore(speaker_roster=[f"s{i}" for i in range(k)], emotion_roster=["neutral"],
-                        weights=weights, means=means, variances=variances,
-                        train_meta=[{}] * k, front_end={})
 
 
 def far_frames(rng, t, d, reach):
