@@ -40,34 +40,22 @@ def default_fft_size(frame_len: int) -> int:
     return n
 
 
-def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
+def power_spectrum(frame: np.ndarray, fft_size: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """One-sided power spectral estimate |S(k)|^2 / fft_size, k = 0..fft_size/2,
-    along the last axis (one frame, or a frame per row)."""
-    frame = _spectrum_frames(frame, fft_size)
-    shape = frame.shape[:-1] + (fft_size // 2 + 1,)
-    return _power_into(frame, fft_size, np.empty(shape, complex), np.empty(shape))
-
-
-def _spectrum_frames(frame, fft_size: int) -> np.ndarray:
+    along the last axis (one frame, or a frame per row), written into out if
+    given. Each frame's FFT and squares are its own, so a row range of frames
+    gets the bytes of the same rows of the whole."""
     _check_power_of_two(fft_size)
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > fft_size:
         raise ConfigError(f"fft_size {fft_size} smaller than frame length {frame.shape[-1]}")
-    return frame
-
-
-def _power_into(frame: np.ndarray, fft_size: int, spec: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """``power_spectrum`` of checked float64 frames, through the complex
-    C-contiguous buffer spec into out. Each frame's FFT and squares are its
-    own, so a row range of frames gets the bytes of the same rows of the
-    whole."""
-    np.fft.rfft(frame, n=fft_size, out=spec)
+    spec = np.ascontiguousarray(np.fft.rfft(frame, n=fft_size))
     squares = spec.view(np.float64)  # re, im interleaved
     np.multiply(squares, squares, out=squares)
-    np.add(squares[..., 0::2], squares[..., 1::2], out=out)
-    out /= fft_size
-    return out
+    power = np.add(squares[..., 0::2], squares[..., 1::2], out=out)
+    power /= fft_size
+    return power
 
 
 @dataclass(frozen=True)
@@ -173,12 +161,9 @@ def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int, log_floor: floa
 
     # the spectrum per row range of frames; the filterbank product stays
     # whole, as a product's last bits depend on its row count
-    x = _spectrum_frames(frames.frames, bank.fft_size)
-    spec = np.empty((len(x), bank.fft_size // 2 + 1), complex)
-    power = np.empty(spec.shape)
-    workers.split_rows(
-        lambda a, b: _power_into(x[a:b], bank.fft_size, spec[a:b], power[a:b]), len(x))
-    del spec  # freed before the product, as power_spectrum frees its spectrum
+    x = frames.frames
+    power = np.empty((len(x), bank.fft_size // 2 + 1))
+    workers.split_rows(lambda a, b: power_spectrum(x[a:b], bank.fft_size, power[a:b]), len(x))
     energies = power @ bank.triangles.T
     log_energies = np.log(np.maximum(energies, log_floor))
     coeffs = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, :num_coeffs]

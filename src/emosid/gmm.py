@@ -61,19 +61,17 @@ def _logsumexp_planes(planes: np.ndarray, work: np.ndarray | None = None) -> np.
     """log(sum(exp(planes))) over the leading axis of a C-contiguous (M, ...)
     buffer, which it overwrites; the result is planes[0]. A C-contiguous
     float64 work buffer of at least two planes, if given, holds the maximum
-    and the tie count in place of two new arrays.
+    and the tie count; otherwise they get one new buffer.
 
     The float operations are those of scipy.special.logsumexp (scipy 1.17)
     along a contiguous axis, in its order: the maximum is taken out, the
     entries equal to it are left out of the shifted sum and their count is
     added back as log(count). Each step is one pass over whole planes."""
-    if work is not None and work.size >= 2 * planes[0].size:
-        amax, count = work.reshape(-1)[:2 * planes[0].size].reshape((2,) + planes.shape[1:])
-        np.maximum.reduce(planes, axis=0, out=amax)
-        count.fill(0.0)
-    else:
-        amax = np.maximum.reduce(planes, axis=0)
-        count = np.zeros_like(amax)
+    if work is None or work.size < 2 * planes[0].size:
+        work = np.empty((2,) + planes.shape[1:])
+    amax, count = work.reshape(-1)[:2 * planes[0].size].reshape((2,) + planes.shape[1:])
+    np.maximum.reduce(planes, axis=0, out=amax)
+    count.fill(0.0)
     tie = np.empty(amax.shape, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for p in planes:

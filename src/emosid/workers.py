@@ -83,6 +83,19 @@ def _stop_threads() -> None:
         pool.shutdown(wait=True)
 
 
+def _forget_threads() -> None:
+    """In a forked child, whose helper threads stayed in the parent: drop the
+    inherited pool, which would queue ranges that no thread runs, and its
+    lock, which another thread may have held at the fork. The child's first
+    split starts a pool of its own."""
+    global _threads, _threads_lock
+    _threads, _threads_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_threads)
+
+
 def parallel_map(fn, n: int, utterances: int) -> list:
     """``[fn(i) for i in range(n)]``, spread over the CPUs this process may use.
 
@@ -120,10 +133,10 @@ def split_rows(fn, n: int) -> None:
     a matrix product over rows, whose kernel blocking and last bits change
     with the row count: then the bytes do not depend on the CPU count. An
     exception raised by fn reaches the caller with its type once every range
-    has ended."""
+    has ended. A forked child starts helpers of its own."""
     global _threads
-    parts = min(_usable_cpus(), n // MIN_SPLIT_ROWS)
-    if parts < 2 or _worker_fn is not None:
+    parts = 1 if _worker_fn is not None else min(_usable_cpus(), n // MIN_SPLIT_ROWS)
+    if parts < 2:
         fn(0, n)
         return
     bounds = [n * i // parts for i in range(parts + 1)]

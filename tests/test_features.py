@@ -132,6 +132,14 @@ class TestPowerSpectrum:
         got = power_spectrum(frame, fft_size)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_row_ranges_into_out_give_the_bytes_of_the_whole(self, rng):
+        """mfcc's per-range calls: each range writes its rows of out."""
+        frames = rng.standard_normal((50, 300))
+        out = np.empty((50, 257))
+        for a, b in [(0, 1), (1, 17), (17, 50)]:
+            assert power_spectrum(frames[a:b], 512, out[a:b]).base is out
+        assert out.tobytes() == power_spectrum(frames, 512).tobytes()
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
             power_spectrum(np.zeros(10), 100)

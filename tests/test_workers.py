@@ -1,9 +1,12 @@
 """workers.split_rows: one utterance's rows on helper threads, with the bytes
 of one CPU."""
 
+import os
+import signal
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +156,44 @@ def test_no_helper_thread_at_a_fork(monkeypatch, pools, ranges):
     assert got == [(1, True)] * 2
     assert not [t for t in threading.enumerate() if t.name.startswith("emosid-rows")]
     assert_tiled(ranges, 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+@pytest.mark.parametrize("lock_held", [False, True])
+def test_a_forked_child_splits_with_helpers_of_its_own(monkeypatch, ranges, lock_held):
+    """A fork made outside parallel_map (a library caller's own, or a
+    fork-method multiprocessing pool) after a split: the child's split of
+    601 frames ends with the parent's bytes, also when the helper pool's lock
+    was held at the fork."""
+    on_cpus(monkeypatch, 2)
+    rng = np.random.default_rng(3)
+    store = grid_store(rng, 6, 8, 13)
+    x = rng.standard_normal((601, 13))
+    want = gmm.frame_scores(store, x).tobytes()
+    assert workers._threads is not None
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # forks with threads running
+        if lock_held:
+            with workers._threads_lock:
+                pid = os.fork()
+        else:
+            pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write, b"1" if gmm.frame_scores(store, x).tobytes() == want else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 60
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split never ended")
+        time.sleep(0.01)
+    with os.fdopen(read, "rb") as fh:
+        assert fh.read() == b"1"
 
 
 def test_concurrent_callers_get_their_own_bytes(monkeypatch, ranges):
