@@ -5,7 +5,7 @@ mixtures score MFCC segments, and a small ReLU network maps the resulting
 log-likelihood vectors to a speaker posterior.
 """
 
-from .audio import AudioClip, FrameSet, load_wav, resample, pre_emphasize, \
+from .audio import AudioClip, load_wav, resample, pre_emphasize, \
     frame_and_window, mix_interference
 from .features import FeatureMatrix, MelFilterbank, power_spectrum, build_filterbank, mfcc
 from .gmm import TagStore, em_fit, frame_scores, gmm_identify

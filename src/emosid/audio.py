@@ -1,9 +1,9 @@
 """WAV ingestion and waveform-level preprocessing.
 
 Covers reading PCM WAV files, resampling to the working rate,
-pre-emphasis, framing/windowing, and interference mixing for the
-noise-stress experiment. All functions are pure; nothing here keeps
-state between calls.
+pre-emphasis, framing/windowing (which refuses a clip shorter than one
+frame), and interference mixing for the noise-stress experiment. All
+functions are pure; nothing here keeps state between calls.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from .errors import (
     AudioFormatError,
     ConfigError,
     DegenerateNoiseError,
+    DimensionError,
     EmptyAudioError,
     RateMismatchError,
     UnsupportedCodecError,
+    ValidationError,
 )
-
-MIX_MODES = ("power", "amplitude")
 
 
 @dataclass(frozen=True)
@@ -35,23 +35,6 @@ class AudioClip:
     samples: np.ndarray
     sample_rate_hz: int
     source_id: str = ""
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class FrameSet:
-    """Windowed frames of one clip: (num_frames x frame_len)."""
-
-    frames: np.ndarray
-    frame_len: int
-    hop_len: int
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 @dataclass(frozen=True)
@@ -193,12 +176,10 @@ def hamming_window(length: int) -> np.ndarray:
     return window
 
 
-def frame_and_window(clip: AudioClip, frame_ms: float, hop_ms: float) -> FrameSet:
-    """Slice into overlapping frames and apply a Hamming window.
-
-    A clip shorter than one frame yields an empty FrameSet rather than an
-    error; pipeline.extract_features refuses such clips.
-    """
+def frame_and_window(clip: AudioClip, frame_ms: float, hop_ms: float) -> np.ndarray:
+    """Slice into overlapping frames and apply a Hamming window: the
+    (num_frames, frame_len) array. A clip shorter than one frame is a
+    ValidationError."""
     if frame_ms <= 0 or hop_ms <= 0 or hop_ms > frame_ms:
         raise ConfigError(f"bad framing: frame_ms={frame_ms}, hop_ms={hop_ms}")
     frame_len = int(round(frame_ms * clip.sample_rate_hz / 1000.0))
@@ -207,51 +188,40 @@ def frame_and_window(clip: AudioClip, frame_ms: float, hop_ms: float) -> FrameSe
 
     x = clip.samples
     if len(x) < frame_len:
-        return FrameSet(frames=np.zeros((0, frame_len)), frame_len=frame_len, hop_len=hop_len)
+        raise ValidationError(f"{clip.source_id}: shorter than one frame")
 
     num_frames = (len(x) - frame_len) // hop_len + 1
     windows = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop_len][:num_frames]
-    frames = windows * hamming_window(frame_len)[None, :]
-    return FrameSet(frames=frames, frame_len=frame_len, hop_len=hop_len)
+    return windows * hamming_window(frame_len)[None, :]
 
 
-def _tile_to_length(noise: np.ndarray, length: int) -> np.ndarray:
-    if len(noise) >= length:
-        return noise[:length]
-    reps = -(-length // len(noise))
-    return np.tile(noise, reps)[:length]
+def mix_interference(clip: AudioClip, noise: AudioClip, power_ratio: float) -> MixResult:
+    """Add interference of the clip's own length at a controlled
+    signal/interference ratio.
 
-
-def mix_interference(clip: AudioClip, noise: AudioClip, power_ratio: float,
-                     mode: str = "power") -> MixResult:
-    """Add interference at a controlled signal/interference ratio.
-
-    power_ratio is signal power over interference power ("power" mode; 2.0
-    is about 3.01 dB SNR) or an amplitude (RMS) ratio in "amplitude" mode.
-    Noise shorter than the clip tiles periodically. If the sum clips, the
-    result is peak-normalized and the scale recorded.
+    power_ratio is signal power over interference power (2.0 is about
+    3.01 dB SNR). If the sum clips, the result is peak-normalized and the
+    scale recorded.
     """
     if clip.sample_rate_hz != noise.sample_rate_hz:
         raise RateMismatchError(
             f"clip at {clip.sample_rate_hz} Hz vs noise at {noise.sample_rate_hz} Hz")
     if not 0 < power_ratio < np.inf:
         raise ConfigError(f"power_ratio must be positive and finite, got {power_ratio}")
-    if mode not in MIX_MODES:
-        raise ConfigError(f"unknown mix mode {mode!r}")
     if len(clip.samples) == 0 or len(noise.samples) == 0:
         raise EmptyAudioError("cannot mix an empty clip or empty interference")
+    if len(noise.samples) != len(clip.samples):
+        raise DimensionError(
+            f"interference of {len(noise.samples)} samples for a clip of {len(clip.samples)}")
 
     x = clip.samples
-    n = _tile_to_length(noise.samples, len(x))
+    n = noise.samples
     p_sig = float(np.mean(x ** 2))
     p_noise = float(np.mean(n ** 2))
     if p_noise <= 0.0:
         raise DegenerateNoiseError("interference has zero power")
 
-    if mode == "power":
-        gain = np.sqrt(p_sig / (power_ratio * p_noise))
-    else:
-        gain = np.sqrt(p_sig / p_noise) / power_ratio
+    gain = np.sqrt(p_sig / (power_ratio * p_noise))
 
     mixed = x + gain * n
     peak = float(np.max(np.abs(mixed)))

@@ -32,12 +32,6 @@ def _sizes(text: str) -> tuple:
     return tuple(int(s) for s in text.split(","))
 
 
-# a config field's flag is its name in kebab case, typed by its annotation,
-# except for these fields: field -> argparse keywords, "flag" naming the flag
-_FLAGS = {
-    "hidden_sizes": {"flag": "--hidden", "type": _sizes,
-                     "help": "comma-separated hidden layer sizes, e.g. 128,128,128,128"},
-}
 # the flags each subcommand reads; identify and evaluate take the front end
 # from the tag store
 _FRONT_END_FLAGS = ("target_rate_hz", "pre_emphasis", "frame_ms", "hop_ms",
@@ -52,9 +46,12 @@ _EVALUATE_FLAGS = _SEGMENT_FLAGS + ("seed", "snr_ratio")
 def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     for name in names:
-        kwargs = dict(_FLAGS.get(name, {"type": FIELD_TYPES[name]}))
-        flag = kwargs.pop("flag", "--" + name.replace("_", "-"))
-        parser.add_argument(flag, dest=name, default=None, **kwargs)
+        if name == "hidden_sizes":
+            parser.add_argument("--hidden", dest=name, default=None, type=_sizes,
+                                help="comma-separated hidden layer sizes, e.g. 128,128,128,128")
+        else:
+            parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                                type=FIELD_TYPES[name])
 
 
 def _build_config(args, front_end=None) -> PipelineConfig:

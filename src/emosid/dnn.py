@@ -51,10 +51,6 @@ class DnnModel:
     def output_size(self) -> int:
         return self.weights[-1].shape[1]
 
-    @property
-    def hidden_sizes(self) -> tuple:
-        return tuple(w.shape[1] for w in self.weights[:-1])
-
 
 def init_model(input_size: int, hidden_sizes, output_size: int, seed: int = 0,
                input_standardization=None) -> DnnModel:

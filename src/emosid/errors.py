@@ -30,7 +30,7 @@ class ConfigError(EmosidError):
 
 
 class DimensionError(EmosidError):
-    """Feature dimensionality does not match the model."""
+    """Sizes that must agree do not (features and model, noise and clip)."""
 
 
 class InsufficientDataError(EmosidError):

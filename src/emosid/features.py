@@ -13,7 +13,6 @@ import numpy as np
 import scipy.fft
 
 from . import workers
-from .audio import FrameSet
 from .errors import ConfigError
 
 
@@ -65,10 +64,7 @@ class MelFilterbank:
     triangles: np.ndarray  # (num_filters x fft_size//2 + 1)
     boundaries_hz: np.ndarray  # num_filters + 2 band-edge points
     boundary_bins: np.ndarray
-    low_hz: float
-    high_hz: float
     fft_size: int
-    sample_rate_hz: int
 
     @property
     def num_filters(self) -> int:
@@ -111,8 +107,7 @@ def build_filterbank(num_filters: int, sample_rate_hz: int, fft_size: int,
             triangles[k, j] = (right - j) / max(right - center, 1)
 
     return MelFilterbank(triangles=triangles, boundaries_hz=boundaries_hz,
-                         boundary_bins=bins, low_hz=float(low_hz), high_hz=float(high_hz),
-                         fft_size=fft_size, sample_rate_hz=sample_rate_hz)
+                         boundary_bins=bins, fft_size=fft_size)
 
 
 @dataclass(frozen=True)
@@ -140,15 +135,12 @@ class FeatureMatrix:
     def num_frames(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def num_coeffs(self) -> int:
-        return self.data.shape[1]
 
-
-def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int, log_floor: float,
+def mfcc(frames: np.ndarray, bank: MelFilterbank, num_coeffs: int, log_floor: float,
          meta: dict | None = None) -> FeatureMatrix:
-    """Compute MFCCs for every frame in a FrameSet, on every usable CPU; the
-    bytes do not depend on the CPU count."""
+    """Compute MFCCs for every row of a (num_frames, frame_len) array of
+    windowed frames, on every usable CPU; the bytes do not depend on the CPU
+    count."""
     if num_coeffs > bank.num_filters:
         raise ConfigError(
             f"num_coeffs {num_coeffs} exceeds filter count {bank.num_filters}")
@@ -161,9 +153,9 @@ def mfcc(frames: FrameSet, bank: MelFilterbank, num_coeffs: int, log_floor: floa
 
     # the spectrum per row range of frames; the filterbank product stays
     # whole, as a product's last bits depend on its row count
-    x = frames.frames
-    power = np.empty((len(x), bank.fft_size // 2 + 1))
-    workers.split_rows(lambda a, b: power_spectrum(x[a:b], bank.fft_size, power[a:b]), len(x))
+    power = np.empty((len(frames), bank.fft_size // 2 + 1))
+    workers.split_rows(
+        lambda a, b: power_spectrum(frames[a:b], bank.fft_size, power[a:b]), len(frames))
     energies = power @ bank.triangles.T
     log_energies = np.log(np.maximum(energies, log_floor))
     coeffs = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, :num_coeffs]

@@ -52,10 +52,6 @@ class GmmTag:
     variances: np.ndarray  # (M, D), floored
     train_meta: dict = field(default_factory=dict)
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
 
 def _logsumexp_planes(planes: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(planes))) over the leading axis of a C-contiguous (M, ...)

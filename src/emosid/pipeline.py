@@ -128,13 +128,12 @@ def _json_is(value, typ) -> bool:
 
 def extract_features(clip: audio_mod.AudioClip, cfg: PipelineConfig,
                      bank: feat_mod.MelFilterbank | None = None) -> FeatureMatrix:
-    """Waveform -> MFCC matrix under the configured front end. A clip shorter
-    than one frame is a ValidationError."""
+    """Waveform -> MFCC matrix under the configured front end; every path to
+    the front end comes here. A clip shorter than one frame is a
+    ValidationError from audio.frame_and_window."""
     clip = audio_mod.resample(clip, cfg.target_rate_hz)
     clip = audio_mod.pre_emphasize(clip, cfg.pre_emphasis)
     frames = audio_mod.frame_and_window(clip, cfg.frame_ms, cfg.hop_ms)
-    if frames.num_frames == 0:
-        raise ValidationError(f"{clip.source_id}: shorter than one frame")
     if bank is None:
         bank = build_bank(cfg)
     meta = {"source_id": clip.source_id, "frame_ms": cfg.frame_ms, "hop_ms": cfg.hop_ms,

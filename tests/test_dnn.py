@@ -190,7 +190,8 @@ class TestTrain:
         assert hidden == (128, 128, 128, 128)
         model = train(x, y, hidden, 2, learning_rate=0.01, epochs=1, batch_size=32,
                       lr_decay=0.98, seed=0)
-        assert model.hidden_sizes == (128, 128, 128, 128)
+        assert [w.shape for w in model.weights] == [(5, 128), (128, 128), (128, 128),
+                                                    (128, 128), (128, 2)]
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
